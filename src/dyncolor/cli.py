@@ -3,7 +3,8 @@
 All structured output is JSON on stdout (keys sorted, so identical inputs
 give byte-identical bytes); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when the computation itself reports infeasibility (no coloring,
-invalid check), 2 on input or usage errors.
+invalid check), 2 on input or usage errors, 3 on an internal error (a failed
+invariant check or exhausted recursion, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

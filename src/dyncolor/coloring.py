@@ -77,49 +77,59 @@ def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
     """
     _check_mode(mode, r)
     lists = _normalize_lists(g.n, lists)
+    if g.n == 0:
+        return []
     dynamic = mode == "dynamic"
+    adj = g.adj
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     color = [None] * g.n
     colored_nbrs = [0] * g.n
     nbr_color_mult = [dict() for _ in range(g.n)]
-    need = [min(r, g.degree(v)) for v in range(g.n)]
-
-    def place(v, c):
+    spare = [len(a) - min(r, len(a)) for a in adj]  # repeats each vertex can afford
+    # An explicit stack of color iterators, one per depth, so that the search
+    # depth is not bounded by the interpreter's recursion limit.  A vertex
+    # still colored at the loop head was extended (or pruned) with that
+    # color; it is taken off before the next color is tried.
+    stack = [iter(lists[order[0]])]
+    while stack:
+        v = order[len(stack) - 1]
+        nbrs = adj[v]
+        c = color[v]
+        if c is not None:
+            color[v] = None
+            for u in nbrs:
+                colored_nbrs[u] -= 1
+                mult = nbr_color_mult[u]
+                if mult[c] == 1:
+                    del mult[c]
+                else:
+                    mult[c] -= 1
+        taken = nbr_color_mult[v]  # colors on v's colored neighbors
+        for c in stack[-1]:
+            if c not in taken:
+                break
+        else:
+            stack.pop()
+            continue
         color[v] = c
-        ok = True
-        for u in g.adj[v]:
+        # Every vertex passed the dynamic test before this placement, so
+        # only a neighbor that now sees c twice can fail it.
+        pruned = False
+        for u in nbrs:
             colored_nbrs[u] += 1
             mult = nbr_color_mult[u]
-            mult[c] = mult.get(c, 0) + 1
-        if dynamic:
-            for u in g.adj[v]:
-                if len(nbr_color_mult[u]) + g.degree(u) - colored_nbrs[u] < need[u]:
-                    ok = False
-                    break
-        return ok
-
-    def unplace(v, c):
-        color[v] = None
-        for u in g.adj[v]:
-            colored_nbrs[u] -= 1
-            mult = nbr_color_mult[u]
-            mult[c] -= 1
-            if not mult[c]:
-                del mult[c]
-
-    def extend(i):
-        if i == g.n:
-            return True
-        v = order[i]
-        for c in lists[v]:
-            if any(color[u] == c for u in g.adj[v]):
-                continue
-            if place(v, c) and extend(i + 1):
-                return True
-            unplace(v, c)
-        return False
-
-    return list(color) if extend(0) else None
+            if c in mult:
+                mult[c] += 1
+                if dynamic and colored_nbrs[u] - len(mult) > spare[u]:
+                    pruned = True
+            else:
+                mult[c] = 1
+        if pruned:
+            continue
+        if len(stack) == g.n:
+            return list(color)
+        stack.append(iter(lists[order[len(stack)]]))
+    return None
 
 
 def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:

@@ -8,6 +8,13 @@ surviving sublists.  Once no bad vertex remains, any proper coloring from the
 sublists is automatically r-dynamic at every vertex of degree >= r: the
 neighbor colors form a transversal of the neighbor-sublist hypergraph, and
 clearing means no small transversal exists.
+
+The resampling loop follows Moser and Tardos: the bad event at v reads only
+the sublists of N(v), so after redrawing the sublists of N(c) it rechecks
+just the vertices within distance 2 of c and keeps the set of bad vertices
+up to date.  Each check decides "fewer than r colors meet every neighbor
+sublist" directly by a depth-bounded hitting-set search; the candidate
+family of the transversal module is not built on this path.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .coloring import is_r_dynamic, solve_list_coloring
 from .graphs import Graph, Hypergraph, degree_stats
-from .transversal import has_small_transversal
+from .transversal import _hit_by_at_most
 
 
 @dataclass
@@ -137,8 +144,7 @@ def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
         raise ValueError("state has no r; sample with r= to enable event checks")
     if g.degree(v) < state.r:
         raise ValueError(f"vertex {v} has degree {g.degree(v)} < r = {state.r}")
-    hv = neighborhood_color_hypergraph(g, state.sublists, v)
-    return has_small_transversal(hv, state.r - 1, method="candidates")
+    return _hit_by_at_most([frozenset(state.sublists[w]) for w in g.adj[v]], state.r - 1)
 
 
 def default_max_iters(g: Graph, r) -> int:
@@ -149,33 +155,53 @@ def default_max_iters(g: Graph, r) -> int:
 def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
     """Resample neighbor sublists around bad vertices until none remain.
 
-    Sweeps vertices in ascending id, collecting every vertex of degree >= r
-    whose bad event currently holds; each sweep redraws the sublists of the
-    first violated vertex's neighbors (the variables its event reads) and
-    counts as one iteration.  Stops with status "clear" or, after max_iters
-    resamples, "cap_reached".  Returns (state, log); the state is updated in
-    place.
+    A sweep is the set of vertices of degree >= r whose bad event currently
+    holds; each sweep redraws the sublists of its smallest vertex's neighbors
+    (the variables its event reads), in ascending neighbor order, and counts
+    as one iteration.  Every eligible vertex is checked once at the start;
+    after a resample at centre c only the eligible vertices in the union of
+    N(w) over w in N(c) are rechecked, since no other event reads a redrawn
+    sublist.  The sweeps, draws and sublists are those of rechecking every
+    vertex after every resample.  Stops with status "clear" or, after
+    max_iters resamples, "cap_reached".  Returns (state, log); the state is
+    updated in place.
     """
     if state.r is None:
         raise ValueError("state has no r; sample with r= to enable event checks")
     r = state.r
     if max_iters is None:
         max_iters = default_max_iters(g, r)
-    eligible = [v for v in range(g.n) if g.degree(v) >= r]
+    adj = g.adj
+    eligible = [g.degree(v) >= r for v in range(g.n)]
+    sets = [frozenset(sub) for sub in state.sublists]
+
+    def bad(v):
+        return _hit_by_at_most([sets[w] for w in adj[v]], r - 1)
+
+    violated = {v for v in range(g.n) if eligible[v] and bad(v)}
     sweeps = []
     while True:
-        violated = [v for v in eligible if bad_event_holds(g, state, v)]
         if not violated:
             status = "clear"
             break
         if len(sweeps) >= max_iters:
             status = "cap_reached"
             break
-        sweeps.append(tuple(violated))
-        centre = violated[0]
-        for w in sorted(g.adj[centre]):
-            state.sublists[w] = tuple(sorted(state.rng.sample(state.base[w], state.sublist_size)))
+        sweep = tuple(sorted(violated))
+        sweeps.append(sweep)
+        centre = sweep[0]
+        touched = set()
+        for w in sorted(adj[centre]):
+            sub = tuple(sorted(state.rng.sample(state.base[w], state.sublist_size)))
+            state.sublists[w] = sub
+            sets[w] = frozenset(sub)
             state.draws += 1
+            touched |= adj[w]
+        for v in touched:
+            if eligible[v] and bad(v):
+                violated.add(v)
+            else:
+                violated.discard(v)
     log = ResampleLog(
         iterations=len(sweeps),
         violations_per_sweep=tuple(sweeps),

@@ -6,6 +6,11 @@ with the property that a size-r transversal exists iff some member of the
 family is one.  Branching is on the lowest-index edge; recursing on vertex v
 removes v and every edge containing v (the surviving edges are exactly the
 ones the rest of the transversal must cover).
+
+candidate_family is kept as the paper's constructive object and is no longer
+on the resampling hot path: the sublist bad-event check decides the same
+question with _hit_by_at_most, a depth-bounded search that branches on a
+smallest edge and stops at the first transversal, with no family built.
 """
 
 from __future__ import annotations
@@ -70,6 +75,26 @@ def candidate_family(h: Hypergraph, r) -> CandidateFamily:
     members = recurse(h.edges, frozenset(range(h.n)), r)
     ordered = tuple(sorted(members, key=sorted))
     return CandidateFamily(r=r, sets=ordered)
+
+
+def _hit_by_at_most(edges, k) -> bool:
+    """True when at most k elements meet every set in edges (frozensets).
+
+    The d-Hitting-Set search tree: some element of a smallest edge must be
+    picked, so branch on each of them and drop the edges it meets.  Depth is
+    at most k and the search stops at the first transversal found; no
+    candidate family is built.
+    """
+    if not edges:
+        return True
+    if k == 0:
+        return False
+    if k == 1:
+        return bool(frozenset.intersection(*edges))
+    smallest = min(edges, key=len)
+    return any(
+        _hit_by_at_most([e for e in edges if x not in e], k - 1) for x in smallest
+    )
 
 
 def _brute_force(h, r):

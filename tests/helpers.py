@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from dyncolor import build_graph
+from dyncolor import build_graph, has_small_transversal, neighborhood_color_hypergraph
+from dyncolor.sublists import ResampleLog
 
 
 def oracle_valid(g, coloring, r=0):
@@ -43,6 +44,42 @@ def oracle_has_small_transversal(h, r):
             if all(s & e for e in h.edges):
                 return True
     return False
+
+
+def oracle_resample_until_clear(g, state, max_iters):
+    """The full-sweep resampler: every eligible vertex rechecked every sweep.
+
+    Each check builds the neighbor-sublist hypergraph and decides through
+    the candidate family, as resample_until_clear did before it rechecked
+    locally; the two must agree on log, sublists and draws.
+    """
+    r = state.r
+
+    def bad_event_holds(g, state, v):
+        hv = neighborhood_color_hypergraph(g, state.sublists, v)
+        return has_small_transversal(hv, state.r - 1, method="candidates")
+
+    eligible = [v for v in range(g.n) if g.degree(v) >= r]
+    sweeps = []
+    while True:
+        violated = [v for v in eligible if bad_event_holds(g, state, v)]
+        if not violated:
+            status = "clear"
+            break
+        if len(sweeps) >= max_iters:
+            status = "cap_reached"
+            break
+        sweeps.append(tuple(violated))
+        centre = violated[0]
+        for w in sorted(g.adj[centre]):
+            state.sublists[w] = tuple(sorted(state.rng.sample(state.base[w], state.sublist_size)))
+            state.draws += 1
+    log = ResampleLog(
+        iterations=len(sweeps),
+        violations_per_sweep=tuple(sweeps),
+        status=status,
+    )
+    return state, log
 
 
 def oracle_list_colorings(g, lists):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dyncolor import coloring
 from dyncolor.cli import main
 
 C4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
@@ -194,6 +195,19 @@ def test_usage_errors_exit_2(ws, capsys):
     assert code == 2 and "hypergraph" in err
     code, _, err = run(capsys, ["chi", "--graph", g, "--mode", "dynamic", "--r", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [AssertionError, RecursionError])
+def test_internal_errors_exit_3(ws, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(coloring, "solve_list_coloring", broken)
+    g = ws("g.txt", C4)
+    lists = ws("l.json", json.dumps({str(v): [1, 2] for v in range(4)}))
+    code, out, err = run(capsys, ["solve", "--graph", g, "--lists", lists])
+    assert code == 3 and out == ""
+    assert err == f"internal error: {error.__name__}: invariant broken\n"
 
 
 def test_output_is_stable(ws, capsys):

@@ -167,6 +167,17 @@ def test_solve_list_none_means_unsolvable():
             assert brute != []
 
 
+def test_solve_list_long_cycle_no_recursion_limit():
+    # the search keeps its own stack: a 1500-vertex cycle is deeper than the
+    # default recursion limit and still colors 1, 2, 1, 2, ... then 3 to close
+    g = generate("cycle", n=1500)
+    got = solve_list_coloring(g, [[1, 2, 3]] * 1500)
+    assert got == [1, 2] * 750
+    odd = generate("cycle", n=1501)
+    got = solve_list_coloring(odd, [[1, 2, 3]] * 1501)
+    assert is_proper(odd, got) and got[:4] == [1, 2, 1, 2]
+
+
 # --- choosability ----------------------------------------------------------
 
 def test_is_k_choosable_small():

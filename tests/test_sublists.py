@@ -22,7 +22,7 @@ from dyncolor import (
     sublist_condition_holds,
     sublist_condition_lhs,
 )
-from .helpers import bipartite_regular, random_lists
+from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
 
 
 # --- sampling ---------------------------------------------------------------
@@ -169,6 +169,49 @@ def test_resample_benchmark_regular_bipartite():
         worst = max(worst, log.iterations)
     assert cleared == 50
     assert worst == 1
+
+
+# --- local rechecks against the full-sweep resampler ------------------------
+
+def _oracle_pair(r, n, p, sublist_size, extra, seed):
+    """One gnp instance sampled twice with the same seed, slack r-1."""
+    rng = random.Random(seed)
+    g = generate("gnp", n=n, p=p, seed=seed)
+    size = sublist_size + 2 * r - 3
+    lists = [rng.sample(range(size + extra), size) for _ in range(n)]
+    return g, [sample_sublists(lists, sublist_size, seed, r=r) for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "r, n, p, sublist_size, extra",
+    [(2, 24, 0.2, 1, 2), (3, 18, 0.35, 2, 3), (4, 14, 0.5, 2, 3)],
+)
+def test_resample_matches_full_sweep_oracle(r, n, p, sublist_size, extra):
+    sweeps = ineligible = 0
+    for seed in range(12):
+        g, (fast, slow) = _oracle_pair(r, n, p, sublist_size, extra, seed)
+        fast, log = resample_until_clear(g, fast, max_iters=40)
+        slow, want = oracle_resample_until_clear(g, slow, max_iters=40)
+        assert log == want
+        assert fast.sublists == slow.sublists
+        assert fast.draws == slow.draws
+        sweeps += log.iterations
+        ineligible += sum(g.degree(v) < r for v in range(n))
+    assert sweeps > 0 and ineligible > 0  # the instances resample and skip vertices
+
+
+def test_resample_matches_full_sweep_oracle_at_the_cap():
+    statuses = set()
+    for seed in range(20):
+        for max_iters in (0, 1, 2, 5):
+            g, (fast, slow) = _oracle_pair(3, 18, 0.35, 2, 3, seed)
+            fast, log = resample_until_clear(g, fast, max_iters=max_iters)
+            slow, want = oracle_resample_until_clear(g, slow, max_iters=max_iters)
+            assert log == want
+            assert fast.sublists == slow.sublists
+            assert fast.draws == slow.draws
+            statuses.add(log.status)
+    assert statuses == {"clear", "cap_reached"}
 
 
 # --- the pipeline -----------------------------------------------------------

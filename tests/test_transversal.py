@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncolor import build_hypergraph, candidate_family, has_small_transversal, is_transversal
+from dyncolor.transversal import _hit_by_at_most
 from .helpers import oracle_has_small_transversal
 
 
@@ -114,3 +115,20 @@ def test_family_members_are_transversals_when_one_exists(seed):
     # a smaller one pads out to size r only when the vertex pool allows it
     hit = any(is_transversal(h, s) for s in fam.sets)
     assert hit == (r <= n and oracle_has_small_transversal(h, r))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(0, n - 1), max_size=n), max_size=5),
+        )
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_hit_by_at_most_agrees_with_oracle(instance, k):
+    # edges of mixed sizes, empty ones included, with the first repeated
+    n, edges = instance
+    h = build_hypergraph(n, edges + edges[:1])
+    assert _hit_by_at_most(list(h.edges), k) == oracle_has_small_transversal(h, k)
