@@ -1,11 +1,10 @@
 """r-dynamic graph and hypergraph coloring toolkit."""
 
 from .bounds import bounds_report
+from .choosability import hyper_is_k_strong_choosable, is_k_choosable
 from .coloring import (
     chi_exact,
     hyper_chi_strong,
-    hyper_is_k_strong_choosable,
-    is_k_choosable,
     is_proper,
     is_r_dynamic,
     is_r_strong,

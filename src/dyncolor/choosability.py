@@ -1,0 +1,179 @@
+"""Exact choosability by one forall-lists / exists-coloring search.
+
+A graph is k-choosable when every assignment of k-color lists admits a
+valid coloring.  The search sees hyperedges that each need some number of
+distinct colors.  Proper mode makes every edge a conflict edge (a hyperedge
+of its two ends with need 2); dynamic mode adds every N(v) with need
+min(r, d(v)); strong mode takes each hyperedge e with need min(r, |e|).
+
+Lists are filled one vertex at a time in a maximum-cardinality-search order:
+next is the unfilled vertex with the most filled neighbors (vertices sharing
+a hyperedge), ties broken by (-degree, id), which keeps the boundary between
+filled and unfilled vertices small.  The search carries the set of feasible
+colorings of the filled prefix, projected onto what the unfilled vertices
+can still see: for each hyperedge with unfilled members, the colors seen on
+it so far, or "met" once it has its need.  A state dies when an edge can no
+longer reach its need, or closes below it.  An empty set is a list
+assignment of the prefix with no coloring, so the answer is False; a
+non-empty set after the last vertex means every assignment on that branch
+colors.
+
+A color that appears in no state behaves exactly like a color never used.
+So the live colors are renumbered 1..L, the next list is drawn as some of
+1..L plus fresh colors, and the answer is memoized on (depth, state set).
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from .coloring import _check_mode
+from .graphs import Graph, Hypergraph
+
+MET = None  # the status of a hyperedge that already has its need
+
+
+def _check_caps(n, k, max_n, max_k):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds cap {max_n}; pass max_n to override")
+    if k > max_k:
+        raise ValueError(f"k={k} exceeds cap {max_k}; pass max_k to override")
+
+
+def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
+    """True iff every assignment of k-color lists admits a valid coloring."""
+    _check_mode(mode, r)
+    _check_caps(g.n, k, max_n, max_k)
+    if g.n == 0:
+        return True
+    if mode == "proper" and k > max(map(len, g.adj)):
+        # more colors than neighbors everywhere: first-fit succeeds on any
+        # assignment in any order, so no search is needed
+        return True
+    needs = [(e, 2) for e in g.edges]
+    if mode == "dynamic":
+        needs += [(g.adj[v], min(r, g.degree(v))) for v in range(g.n)]
+    return _all_lists_colorable(g.n, needs, k)
+
+
+def hyper_is_k_strong_choosable(h: Hypergraph, k, r, max_n=8, max_k=4) -> bool:
+    """True iff every assignment of k-color lists admits an r-strong coloring."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    _check_caps(h.n, k, max_n, max_k)
+    if h.n == 0:
+        return True
+    return _all_lists_colorable(h.n, [(e, min(r, len(e))) for e in h.edges], k)
+
+
+def _steps(n, needs):
+    """Per fill position, how a projected state grows by that vertex.
+
+    A state at depth i is a tuple of the statuses of the hyperedges open
+    there (some members filled, some not), in a fixed order.  Step i holds
+    one (state position or -1, need or 0 when v is not a member, members
+    left unfilled) triple per hyperedge that v closes, then per hyperedge
+    open after v: a state that fails to close an edge is dropped before
+    anything is copied.
+    """
+    # a need of 1 holds on any coloring of a nonempty edge
+    edges = list(dict.fromkeys((frozenset(e), need) for e, need in needs if need >= 2))
+    near = [set() for _ in range(n)]
+    for e, _ in edges:
+        for v in e:
+            near[v] |= e - {v}
+    order, filled, left = [], [0] * n, set(range(n))
+    while left:
+        v = min(left, key=lambda u: (-filled[u], -len(near[u]), u))
+        order.append(v)
+        left.remove(v)
+        for u in near[v]:
+            filled[u] += 1
+    pos = {v: i for i, v in enumerate(order)}
+    span = [(min(pos[u] for u in e), max(pos[u] for u in e)) for e, _ in edges]
+    steps, opened = [], []
+    for i, v in enumerate(order):
+        slot = {j: p for p, j in enumerate(opened)}
+        opened = [j for j, (a, b) in enumerate(span) if a <= i < b]
+        ops = []
+        for j in [j for j, (_, b) in enumerate(span) if b == i] + opened:
+            e, need = edges[j]
+            ops.append((slot.get(j, -1), need if v in e else 0, sum(pos[u] > i for u in e)))
+        steps.append(tuple(ops))
+    return steps
+
+
+def _extensions(states, colors, ops):
+    """Yield the projected states after giving the next vertex a color from `colors`."""
+    for s in states:
+        for c in colors:
+            new = []
+            for p, need, rest in ops:
+                seen = s[p] if p >= 0 else frozenset()
+                if need and seen is not MET:
+                    seen = seen | {c}
+                    if len(seen) >= need:
+                        seen = MET
+                    elif len(seen) + rest < need:
+                        break
+                if rest:
+                    new.append(seen)
+            else:
+                yield tuple(new)
+
+
+def _renumber(states):
+    """The states with their live colors renamed 1..L, and L."""
+    live = sorted({c for s in states for seen in s if seen is not MET for c in seen})
+    name = {c: i for i, c in enumerate(live, 1)}
+    return frozenset(
+        tuple(seen if seen is MET else frozenset(name[c] for c in seen) for seen in s) for s in states
+    ), len(live)
+
+
+def _lists(live, k):
+    """Every k-list up to renaming dead colors: olds from 1..live, then fresh ones.
+
+    Lists reusing many live colors come first, so that hard assignments
+    (everyone sharing one list) are hit early.
+    """
+    for fresh in range(k + 1):
+        news = tuple(range(live + 1, live + fresh + 1))
+        for olds in combinations(range(1, live + 1), k - fresh):
+            yield olds + news
+
+
+def _all_lists_colorable(n, needs, k):
+    steps = _steps(n, needs)
+    memo = {}
+    # An explicit stack of list iterators, one per depth, so that the depth
+    # is not bounded by the interpreter's recursion limit.
+    stack = [(0, frozenset([()]), _lists(0, k))]
+    ok = True
+    while stack:
+        i, states, lists = stack[-1]
+        child = None
+        if ok:
+            for colors in lists:
+                nxt = _extensions(states, colors, steps[i])
+                if i + 1 == n:
+                    # at the last vertex one coloring of the whole graph will do
+                    ok = next(nxt, None) is not None
+                else:
+                    # an empty set is an uncolorable prefix, and stays one
+                    nxt, live = _renumber(set(nxt))
+                    ok = bool(nxt) and memo.get((i + 1, nxt))
+                    if ok is None:
+                        child = (i + 1, nxt, _lists(live, k))
+                        break
+                if not ok:
+                    break
+        if child:
+            stack.append(child)
+            ok = True
+        else:
+            memo[i, states] = ok
+            stack.pop()
+    return ok

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import coloring, constructions, experiments, io, sublists
+from . import choosability, coloring, constructions, experiments, io, sublists
 
 
 def _emit(obj):
@@ -110,14 +110,14 @@ def _cmd_choosable(args):
         if args.hypergraph is None:
             raise ValueError("strong mode needs --hypergraph")
         h = _load_hypergraph(args.hypergraph)
-        out["choosable"] = coloring.hyper_is_k_strong_choosable(
+        out["choosable"] = choosability.hyper_is_k_strong_choosable(
             h, args.k, args.r, max_n=args.max_n, max_k=args.max_k
         )
     else:
         if args.graph is None:
             raise ValueError(f"{args.mode} mode needs --graph")
         g = _load_graph(args.graph)
-        out["choosable"] = coloring.is_k_choosable(
+        out["choosable"] = choosability.is_k_choosable(
             g, args.k, mode=args.mode, r=args.r, max_n=args.max_n, max_k=args.max_k
         )
     _emit(out)

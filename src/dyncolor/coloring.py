@@ -3,11 +3,14 @@
 Solvers are exhaustive backtrackers meant for small instances; every public
 entry point with exponential behavior takes a size guard as a keyword
 parameter (the defaults are the supported scale, not hard limits).
+
+Choosability (`is_k_choosable`, `hyper_is_k_strong_choosable`) lives in the
+`choosability` module: one forall-lists / exists-coloring search that fills
+lists in maximum-cardinality-search order and carries the set of feasible
+colorings projected onto the boundary, memoized up to color renaming.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .graphs import Graph, Hypergraph
 
@@ -135,6 +138,9 @@ def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
 def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:
     """Least k such that lists {1..k} everywhere admit a valid coloring.
 
+    Starts at the trivial lower bound: 1 without edges, else 2 in proper
+    mode and min(r, maxdeg) + 1 in dynamic mode (a vertex of maximum degree
+    differs from its neighbors, which carry min(r, maxdeg) colors).
     Terminates at k = n at the latest: the all-distinct coloring is proper
     and gives every vertex d(v) >= min(r, d(v)) neighbor colors.
     """
@@ -143,80 +149,17 @@ def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:
         raise ValueError(f"n={g.n} exceeds cap {max_n}; pass max_n to override")
     if g.n == 0:
         return 0
-    for k in range(1, g.n + 1):
+    if not g.edges:
+        low = 1
+    elif mode == "proper":
+        low = 2
+    else:
+        low = min(r, max(map(len, g.adj))) + 1
+    for k in range(low, g.n + 1):
         lists = [tuple(range(1, k + 1))] * g.n
         if solve_list_coloring(g, lists, mode, r) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")
-
-
-def _greedy_from_lists(g, lists, order):
-    # first-fit; success proves the assignment proper-colorable
-    color = [None] * g.n
-    for v in order:
-        used = {color[u] for u in g.adj[v]}
-        for c in lists[v]:
-            if c not in used:
-                color[v] = c
-                break
-        else:
-            return False
-    return True
-
-
-def _forall_list_assignments(n, k, order, solvable):
-    """Check solvable(lists) over every size-k list assignment, canonically.
-
-    Lists are filled along `order`; colors are canonical in first-use order
-    (a fresh color is always the next unused integer), which enumerates one
-    representative per renaming class.  Branches reusing many old colors come
-    first so that hard assignments (everyone sharing one list) are hit early.
-    Returns False as soon as solvable(lists) does.
-    """
-    lists = [None] * n
-
-    def fill(i, used):
-        if i == n:
-            return solvable(lists)
-        v = order[i]
-        for fresh in range(k + 1):
-            old_count = k - fresh
-            if old_count > used:
-                continue
-            news = tuple(range(used + 1, used + fresh + 1))
-            for olds in itertools.combinations(range(1, used + 1), old_count):
-                lists[v] = olds + news
-                if not fill(i + 1, used + fresh):
-                    return False
-        lists[v] = None
-        return True
-
-    return fill(0, 0)
-
-
-def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
-    """True iff every assignment of k-color lists admits a valid coloring."""
-    _check_mode(mode, r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds cap {max_n}; pass max_n to override")
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds cap {max_k}; pass max_k to override")
-    if g.n == 0:
-        return True
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    if mode == "proper" and k > max(g.degree(v) for v in range(g.n)):
-        # more colors than neighbors everywhere: first-fit succeeds on any
-        # assignment in any order, so no enumeration is needed
-        return True
-
-    def solvable(lists):
-        if mode == "proper" and _greedy_from_lists(g, lists, order):
-            return True
-        return solve_list_coloring(g, lists, mode, r) is not None
-
-    return _forall_list_assignments(g.n, k, order, solvable)
 
 
 def _strong_backtrack(h: Hypergraph, r, lists=None, k=None):
@@ -263,21 +206,33 @@ def _strong_backtrack(h: Hypergraph, r, lists=None, k=None):
             if not mult[c]:
                 del mult[c]
 
-    def extend(i, used):
-        if i == h.n:
-            return True
-        v = order[i]
-        if lists is not None:
-            candidates = lists[v]
-        else:
-            candidates = range(1, min(used + 1, k) + 1)
-        for c in candidates:
-            if place(v, c) and extend(i + 1, max(used, c)):
-                return True
-            unplace(v, c)
-        return False
+    def candidates(i, used):
+        return iter(lists[order[i]] if lists is not None else range(1, min(used + 1, k) + 1))
 
-    return list(color) if extend(0, 0) else None
+    if h.n == 0:
+        return []
+    # An explicit stack of (color iterator, largest color used above it), so
+    # that the search depth is not bounded by the interpreter's recursion
+    # limit.  A vertex still colored at the loop head was extended with that
+    # color; it is taken off before the next one is tried.
+    stack = [(candidates(0, 0), 0)]
+    while stack:
+        v = order[len(stack) - 1]
+        colors, used = stack[-1]
+        if color[v] is not None:
+            unplace(v, color[v])
+        for c in colors:
+            if place(v, c):
+                break
+            unplace(v, c)
+        else:
+            stack.pop()
+            continue
+        if len(stack) == h.n:
+            return list(color)
+        used = max(used, c)
+        stack.append((candidates(len(stack), used), used))
+    return None
 
 
 def solve_strong_list_coloring(h: Hypergraph, lists, r):
@@ -299,22 +254,3 @@ def hyper_chi_strong(h: Hypergraph, r, max_n=12) -> int:
         if _strong_backtrack(h, r, k=k) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")
-
-
-def hyper_is_k_strong_choosable(h: Hypergraph, k, r, max_n=8, max_k=4) -> bool:
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if h.n > max_n:
-        raise ValueError(f"n={h.n} exceeds cap {max_n}; pass max_n to override")
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds cap {max_k}; pass max_k to override")
-    if h.n == 0:
-        return True
-    order = list(range(h.n))
-
-    def solvable(lists):
-        return _strong_backtrack(h, r, lists=lists) is not None
-
-    return _forall_list_assignments(h.n, k, order, solvable)

@@ -9,7 +9,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from dyncolor import build_graph, has_small_transversal, neighborhood_color_hypergraph
+from dyncolor import (
+    build_graph,
+    has_small_transversal,
+    neighborhood_color_hypergraph,
+    solve_list_coloring,
+    solve_strong_list_coloring,
+)
 from dyncolor.sublists import ResampleLog
 
 
@@ -87,6 +93,56 @@ def oracle_list_colorings(g, lists):
     for combo in itertools.product(*lists):
         if all(combo[u] != combo[v] for u, v in g.edges):
             yield list(combo)
+
+
+def oracle_is_k_choosable(x, k, mode="proper", r=0):
+    """Per-leaf choosability: solve every canonical k-list assignment afresh.
+
+    x is a graph, or a hypergraph in "strong" mode.  Lists are filled in
+    (-degree, id) order (hypergraphs: ascending id) with colors canonical in
+    first-use order: a fresh color is always the next unused integer, one
+    representative per renaming class.  Each leaf tries first-fit (a graph
+    coloring it finds counts when it meets the mode) and then the exhaustive
+    solver.  This is how is_k_choosable decided before it searched over
+    boundary states; the two must agree.
+    """
+    if mode == "strong":
+        order = list(range(x.n))
+    else:
+        order = sorted(range(x.n), key=lambda v: (-x.degree(v), v))
+
+    def first_fit(lists):
+        color = [None] * x.n
+        for v in order:
+            used = {color[u] for u in x.adj[v]}
+            color[v] = next((c for c in lists[v] if c not in used), None)
+            if color[v] is None:
+                return None
+        return color
+
+    def solvable(lists):
+        if mode == "strong":
+            return solve_strong_list_coloring(x, lists, r) is not None
+        color = first_fit(lists)
+        if color is not None and oracle_valid(x, color, r):
+            return True
+        return solve_list_coloring(x, lists, mode, r) is not None
+
+    lists = [None] * x.n
+
+    def fill(i, used):
+        if i == x.n:
+            return solvable(lists)
+        v = order[i]
+        for fresh in range(k + 1):
+            news = tuple(range(used + 1, used + fresh + 1))
+            for olds in itertools.combinations(range(1, used + 1), k - fresh):
+                lists[v] = olds + news
+                if not fill(i + 1, used + fresh):
+                    return False
+        return True
+
+    return fill(0, 0)
 
 
 def oracle_strong_chi(h, r):

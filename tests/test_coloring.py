@@ -263,3 +263,11 @@ def test_strong_chi_matches_oracle(seed):
     h = build_hypergraph(n, edges)
     r = rng.randint(1, 3)
     assert hyper_chi_strong(h, r) == oracle_strong_chi(h, r)
+
+
+def test_solve_strong_long_path_no_recursion_limit():
+    # 1500 vertices is deeper than the default recursion limit
+    h = build_hypergraph(1500, [{i, i + 1} for i in range(1499)])
+    lists = [[1, 2]] * 1500
+    got = solve_strong_list_coloring(h, lists, 2)
+    assert got is not None and is_r_strong(h, got, 2)
