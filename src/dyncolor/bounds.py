@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from .coloring import _check_r
 from .sublists import sublist_condition_lhs
 
 
@@ -52,8 +53,7 @@ def bounds_report(
         neighborhood_sparsity=neighborhood_sparsity,
         degree_ratio_cap=degree_ratio_cap,
     )
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    _check_r(r, 2)
     if max_degree < min_degree:
         raise ValueError(
             f"max degree {max_degree} below min degree {min_degree}"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import _check_mode
+from .coloring import _check_cap, _check_mode, _check_r
 from .graphs import Graph, Hypergraph
 
 MET = None  # the status of a hyperedge that already has its need
@@ -36,8 +36,7 @@ MET = None  # the status of a hyperedge that already has its need
 def _check_caps(n, k, max_n, max_k):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds cap {max_n}; pass max_n to override")
+    _check_cap(n, max_n)
     if k > max_k:
         raise ValueError(f"k={k} exceeds cap {max_k}; pass max_k to override")
 
@@ -60,8 +59,7 @@ def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
 
 def hyper_is_k_strong_choosable(h: Hypergraph, k, r, max_n=8, max_k=4) -> bool:
     """True iff every assignment of k-color lists admits an r-strong coloring."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_r(r, 1)
     _check_caps(h.n, k, max_n, max_k)
     if h.n == 0:
         return True

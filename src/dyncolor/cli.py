@@ -43,8 +43,6 @@ def _cmd_check(args):
     if args.mode == "proper":
         valid = coloring.is_proper(g, c)
     else:
-        if args.r < 1:
-            raise ValueError("dynamic mode needs --r >= 1")
         valid = coloring.is_r_dynamic(g, c, args.r)
     _emit({"command": "check", "mode": args.mode, "r": args.r, "valid": valid})
     return 0 if valid else 1
@@ -60,14 +58,10 @@ def _cmd_solve(args):
         out["target"] = target
         out["coloring"] = c
     elif args.mode == "greedy":
-        if args.r < 1:
-            raise ValueError("greedy mode needs --r >= 1")
         from .greedy import greedy_r_dynamic
 
         out["coloring"] = greedy_r_dynamic(g, lists, args.r)
     else:  # lll
-        if args.r < 2:
-            raise ValueError("lll mode needs --r >= 2")
         sizes = {len(colors) for colors in lists}
         if len(sizes) != 1:
             raise ValueError("lll mode needs uniform base list sizes")
@@ -92,8 +86,6 @@ def _cmd_chi(args):
         if args.hypergraph is None:
             raise ValueError("strong mode needs --hypergraph")
         h = _load_hypergraph(args.hypergraph)
-        if args.r < 1:
-            raise ValueError("strong mode needs --r >= 1")
         out["chi"] = coloring.hyper_chi_strong(h, args.r, max_n=args.max_n)
     else:
         if args.graph is None:

@@ -1,8 +1,19 @@
 """Exact coloring predicates and desk-scale solvers.
 
-Solvers are exhaustive backtrackers meant for small instances; every public
-entry point with exponential behavior takes a size guard as a keyword
-parameter (the defaults are the supported scale, not hard limits).
+Every solver here runs one search engine, `_search`: color the vertices so
+that each edge j of a hypergraph ends with need[j] distinct colors and no
+vertex v repeats a color already on the edge avoid[v].  Graph modes take the
+neighborhoods N(u) as the edges, with avoid[v] = v (a color on N(v) is
+taken, which is properness) and need min(r, d(u)) in dynamic mode, 0 in
+proper mode.  Strong mode takes the hyperedges with need min(r, |e|) and no
+avoid rule.  Vertices go by the number of edges containing them, descending,
+ties by id (on graphs: by degree); colors ascend through each vertex's list,
+or through 1..k in first-use order.  The exact chromatic numbers are the
+least k at which the first-use search succeeds.
+
+Solvers are exhaustive and meant for small instances; every public entry
+point with exponential behavior takes a size guard as a keyword parameter
+(the defaults are the supported scale, not hard limits).
 
 Choosability (`is_k_choosable`, `hyper_is_k_strong_choosable`) lives in the
 `choosability` module: one forall-lists / exists-coloring search that fills
@@ -20,21 +31,32 @@ def _check_coloring(n, coloring):
         raise ValueError(f"coloring has {len(coloring)} entries for {n} vertices")
 
 
+def _check_r(r, floor):
+    if r < floor:
+        raise ValueError(f"r must be >= {floor}, got {r}")
+
+
 def _check_mode(mode, r):
     if mode not in ("proper", "dynamic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "dynamic" and r < 1:
-        raise ValueError(f"dynamic mode needs r >= 1, got {r}")
+    if mode == "dynamic":
+        _check_r(r, 1)
 
 
-def _normalize_lists(n, lists):
+def _check_cap(n, max_n):
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds cap {max_n}; pass max_n to override")
+
+
+def _normalize_lists(n, lists, floor=1):
+    """Each list as a sorted tuple of distinct colors, at least floor of them."""
     if len(lists) != n:
         raise ValueError(f"list assignment has {len(lists)} entries for {n} vertices")
     out = []
     for v, colors in enumerate(lists):
         t = tuple(sorted(set(colors)))
-        if not t:
-            raise ValueError(f"empty color list at vertex {v}")
+        if len(t) < floor:
+            raise ValueError(f"list at vertex {v} has {len(t)} colors, needs >= {floor}")
         out.append(t)
     return out
 
@@ -47,8 +69,7 @@ def is_proper(g: Graph, coloring) -> bool:
 
 def is_r_dynamic(g: Graph, coloring, r) -> bool:
     """Proper, and every vertex sees min(r, d(v)) distinct neighbor colors."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_r(r, 1)
     if not is_proper(g, coloring):
         return False
     for v in range(g.n):
@@ -60,8 +81,7 @@ def is_r_dynamic(g: Graph, coloring, r) -> bool:
 
 def is_r_strong(h: Hypergraph, coloring, r) -> bool:
     """Every edge carries min(r, |e|) distinct colors; properness not required."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_r(r, 1)
     _check_coloring(h.n, coloring)
     for e in h.edges:
         if len({coloring[v] for v in e}) < min(r, len(e)):
@@ -69,70 +89,108 @@ def is_r_strong(h: Hypergraph, coloring, r) -> bool:
     return True
 
 
-def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
-    """Find a coloring with c(v) in lists[v] meeting the mode, or None.
+def _search(n, edges, need, avoid, lists=None, k=None):
+    """The first valid coloring in search order, or None.
 
-    Exhaustive backtracking: vertices by descending degree (ties by id),
-    colors ascending.  In dynamic mode a branch dies as soon as some vertex
-    can no longer reach min(r, d) distinct neighbor colors even if every
-    uncolored neighbor brings a fresh one; on a full assignment that test
-    degenerates to the exact dynamic condition, so accepted leaves are valid.
+    Valid: every edge j holds need[j] distinct colors, and when avoid is
+    given no vertex v shares a color with a member of edge avoid[v].
+    Exactly one of lists (colors of v ascending from lists[v]) and k (colors
+    1..k in first-use order: those used so far, then one fresh) drives it;
+    first-use order finds a coloring whenever 1..k admits one, since
+    validity does not depend on the names of the colors.
     """
-    _check_mode(mode, r)
-    lists = _normalize_lists(g.n, lists)
-    if g.n == 0:
+    if n == 0:
         return []
-    dynamic = mode == "dynamic"
-    adj = g.adj
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color = [None] * g.n
-    colored_nbrs = [0] * g.n
-    nbr_color_mult = [dict() for _ in range(g.n)]
-    spare = [len(a) - min(r, len(a)) for a in adj]  # repeats each vertex can afford
+    member = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            member[v].append(j)
+    order = sorted(range(n), key=lambda v: (-len(member[v]), v))
+    spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
+    repeats = [0] * len(edges)
+    mult = [{} for _ in edges]  # color -> count on the colored members of each edge
+    taken = [()] * n if avoid is None else [mult[j] for j in avoid]
+    color = [None] * n
+    top = [0] * n  # first-use order: the largest color on order[:depth]
     # An explicit stack of color iterators, one per depth, so that the search
     # depth is not bounded by the interpreter's recursion limit.  A vertex
     # still colored at the loop head was extended (or pruned) with that
-    # color; it is taken off before the next color is tried.
-    stack = [iter(lists[order[0]])]
+    # color; it is taken off before the next one is tried.
+    stack = [iter(lists[order[0]] if k is None else (1,))]
     while stack:
-        v = order[len(stack) - 1]
-        nbrs = adj[v]
+        depth = len(stack) - 1
+        v = order[depth]
         c = color[v]
         if c is not None:
             color[v] = None
-            for u in nbrs:
-                colored_nbrs[u] -= 1
-                mult = nbr_color_mult[u]
-                if mult[c] == 1:
-                    del mult[c]
+            for j in member[v]:
+                mj = mult[j]
+                if mj[c] == 1:
+                    del mj[c]
                 else:
-                    mult[c] -= 1
-        taken = nbr_color_mult[v]  # colors on v's colored neighbors
+                    mj[c] -= 1
+                    repeats[j] -= 1
+        avoided = taken[v]
         for c in stack[-1]:
-            if c not in taken:
+            if c not in avoided:
                 break
         else:
             stack.pop()
             continue
         color[v] = c
-        # Every vertex passed the dynamic test before this placement, so
-        # only a neighbor that now sees c twice can fail it.
+        # A fresh color keeps an edge's distinct colors plus uncolored
+        # members unchanged, so only an edge that now holds c twice can fall
+        # below its need.
         pruned = False
-        for u in nbrs:
-            colored_nbrs[u] += 1
-            mult = nbr_color_mult[u]
-            if c in mult:
-                mult[c] += 1
-                if dynamic and colored_nbrs[u] - len(mult) > spare[u]:
+        for j in member[v]:
+            mj = mult[j]
+            if c in mj:
+                mj[c] += 1
+                repeats[j] += 1
+                if repeats[j] > spare[j]:
                     pruned = True
             else:
-                mult[c] = 1
+                mj[c] = 1
         if pruned:
             continue
-        if len(stack) == g.n:
+        if depth + 1 == n:
             return list(color)
-        stack.append(iter(lists[order[len(stack)]]))
+        if k is None:
+            stack.append(iter(lists[order[depth + 1]]))
+        else:
+            used = top[depth + 1] = max(top[depth], c)
+            stack.append(iter(range(1, min(used + 1, k) + 1)))
     return None
+
+
+def _least_k(n, edges, need, avoid, low):
+    """Least k >= low at which the first-use search finds a coloring."""
+    if n == 0:
+        return 0
+    for k in range(low, n + 1):
+        if _search(n, edges, need, avoid, k=k) is not None:
+            return k
+    raise AssertionError("unreachable: n colors always suffice")
+
+
+def _graph_needs(g: Graph, mode, r):
+    _check_mode(mode, r)
+    if mode == "proper":
+        return [0] * g.n
+    return [min(r, len(a)) for a in g.adj]
+
+
+def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
+    """Find a coloring with c(v) in lists[v] meeting the mode, or None.
+
+    Exhaustive search: vertices by descending degree (ties by id), colors
+    ascending.  In dynamic mode a branch dies as soon as some vertex can no
+    longer reach min(r, d) distinct neighbor colors even if every uncolored
+    neighbor brings a fresh one; on a full assignment that test is the exact
+    dynamic condition, so accepted leaves are valid.
+    """
+    need = _graph_needs(g, mode, r)
+    return _search(g.n, g.adj, need, range(g.n), lists=_normalize_lists(g.n, lists))
 
 
 def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:
@@ -144,113 +202,26 @@ def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:
     Terminates at k = n at the latest: the all-distinct coloring is proper
     and gives every vertex d(v) >= min(r, d(v)) neighbor colors.
     """
-    _check_mode(mode, r)
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds cap {max_n}; pass max_n to override")
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        low = 1
-    elif mode == "proper":
-        low = 2
-    else:
-        low = min(r, max(map(len, g.adj))) + 1
-    for k in range(low, g.n + 1):
-        lists = [tuple(range(1, k + 1))] * g.n
-        if solve_list_coloring(g, lists, mode, r) is not None:
-            return k
-    raise AssertionError("unreachable: n colors always suffice")
-
-
-def _strong_backtrack(h: Hypergraph, r, lists=None, k=None):
-    """Search for an r-strong coloring; exactly one of lists / k drives it.
-
-    With `lists`, colors come from each vertex's list.  With `k`, colors are
-    1..k restricted to first-use canonical order (sound for existence since
-    the strong condition is renaming-invariant).
-    """
-    if (lists is None) == (k is None):
-        raise ValueError("need exactly one of lists, k")
-    if lists is not None:
-        lists = _normalize_lists(h.n, lists)
-    membership = [[] for _ in range(h.n)]
-    for j, e in enumerate(h.edges):
-        for v in e:
-            membership[v].append(j)
-    order = sorted(range(h.n), key=lambda v: (-len(membership[v]), v))
-    color = [None] * h.n
-    colored_in_edge = [0] * h.m
-    edge_color_mult = [dict() for _ in range(h.m)]
-    need = [min(r, len(e)) for e in h.edges]
-    size = [len(e) for e in h.edges]
-
-    def place(v, c):
-        color[v] = c
-        ok = True
-        for j in membership[v]:
-            colored_in_edge[j] += 1
-            mult = edge_color_mult[j]
-            mult[c] = mult.get(c, 0) + 1
-        for j in membership[v]:
-            if len(edge_color_mult[j]) + size[j] - colored_in_edge[j] < need[j]:
-                ok = False
-                break
-        return ok
-
-    def unplace(v, c):
-        color[v] = None
-        for j in membership[v]:
-            colored_in_edge[j] -= 1
-            mult = edge_color_mult[j]
-            mult[c] -= 1
-            if not mult[c]:
-                del mult[c]
-
-    def candidates(i, used):
-        return iter(lists[order[i]] if lists is not None else range(1, min(used + 1, k) + 1))
-
-    if h.n == 0:
-        return []
-    # An explicit stack of (color iterator, largest color used above it), so
-    # that the search depth is not bounded by the interpreter's recursion
-    # limit.  A vertex still colored at the loop head was extended with that
-    # color; it is taken off before the next one is tried.
-    stack = [(candidates(0, 0), 0)]
-    while stack:
-        v = order[len(stack) - 1]
-        colors, used = stack[-1]
-        if color[v] is not None:
-            unplace(v, color[v])
-        for c in colors:
-            if place(v, c):
-                break
-            unplace(v, c)
-        else:
-            stack.pop()
-            continue
-        if len(stack) == h.n:
-            return list(color)
-        used = max(used, c)
-        stack.append((candidates(len(stack), used), used))
-    return None
+    need = _graph_needs(g, mode, r)
+    _check_cap(g.n, max_n)
+    low = max([1, *need]) + 1 if g.edges else 1
+    return _least_k(g.n, g.adj, need, range(g.n), low)
 
 
 def solve_strong_list_coloring(h: Hypergraph, lists, r):
     """r-strong coloring with c(v) in lists[v], or None."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    return _strong_backtrack(h, r, lists=lists)
+    _check_r(r, 1)
+    need = [min(r, len(e)) for e in h.edges]
+    return _search(h.n, h.edges, need, None, lists=_normalize_lists(h.n, lists))
 
 
 def hyper_chi_strong(h: Hypergraph, r, max_n=12) -> int:
-    """Least k admitting an r-strong k-coloring (all-distinct always works)."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if h.n > max_n:
-        raise ValueError(f"n={h.n} exceeds cap {max_n}; pass max_n to override")
-    if h.n == 0:
-        return 0
-    for k in range(1, h.n + 1):
-        if _strong_backtrack(h, r, k=k) is not None:
-            return k
-    raise AssertionError("unreachable: n colors always suffice")
+    """Least k admitting an r-strong k-coloring (all-distinct always works).
+
+    Starts at the largest need min(r, |e|), which alone takes that many
+    colors.
+    """
+    _check_r(r, 1)
+    _check_cap(h.n, max_n)
+    need = [min(r, len(e)) for e in h.edges]
+    return _least_k(h.n, h.edges, need, None, max([1, *need]))

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .coloring import (
+    _check_r,
     chi_exact,
     hyper_chi_strong,
     is_r_dynamic,
@@ -52,8 +53,7 @@ def augment(h: Hypergraph, r, k, seed, max_tries=1000) -> AugmentedHypergraph:
     already-used block; impossibility (e.g. a single-block universe cannot
     host two distinct partitions) surfaces as an error after max_tries.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    _check_r(r, 2)
     if k < r:
         raise ValueError(f"k must be >= r, got k={k} r={r}")
     if h.n < 1:

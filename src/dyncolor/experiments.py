@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .coloring import chi_exact, is_r_dynamic
+from .coloring import _check_r, chi_exact, is_r_dynamic
 from .graphs import degree_stats, generate
 from .greedy import greedy_r_dynamic
 from .sublists import dynamic_coloring_via_sublists
@@ -51,11 +51,7 @@ def experiment_random_graphs(
         raise ValueError("need exactly one of p, d")
     if mode not in ("greedy", "lll", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "lll":
-        if r < 2:
-            raise ValueError(f"lll mode needs r >= 2, got {r}")
-    elif r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_r(r, 2 if mode == "lll" else 1)
     if mode == "exact" and n > max_n:
         raise ValueError(f"exact mode capped at n <= {max_n}, got {n}")
     if n < 1:

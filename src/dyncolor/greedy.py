@@ -7,6 +7,7 @@ always available and the result is proper and r-dynamic.
 
 from __future__ import annotations
 
+from .coloring import _check_r, _normalize_lists
 from .graphs import Graph, degree_stats
 
 
@@ -21,21 +22,10 @@ def greedy_r_dynamic(g: Graph, lists, r, order=None):
     colors, (b) at most Delta*(r-1), so lists of size r*Delta+1 never run
     dry.  Default order is ascending vertex id.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_r(r, 1)
     if g.n == 0:
         return []
-    floor = r * degree_stats(g).max_degree + 1
-    if len(lists) != g.n:
-        raise ValueError(f"list assignment has {len(lists)} entries for {g.n} vertices")
-    norm = []
-    for v, colors in enumerate(lists):
-        t = tuple(sorted(set(colors)))
-        if len(t) < floor:
-            raise ValueError(
-                f"list at vertex {v} has {len(t)} colors, needs >= {floor}"
-            )
-        norm.append(t)
+    norm = _normalize_lists(g.n, lists, floor=r * degree_stats(g).max_degree + 1)
     if order is None:
         order = range(g.n)
     order = list(order)

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import is_r_dynamic, solve_list_coloring
+from .coloring import _check_r, _normalize_lists, is_r_dynamic, solve_list_coloring
 from .graphs import Graph, Hypergraph, degree_stats
 from .transversal import _hit_by_at_most
 
@@ -76,20 +76,6 @@ class PipelineResult:
     status: str
 
 
-def _normalize_base(lists, sublist_size):
-    if sublist_size < 1:
-        raise ValueError(f"sublist size must be >= 1, got {sublist_size}")
-    norm = []
-    for v, colors in enumerate(lists):
-        t = tuple(sorted(set(colors)))
-        if len(t) < sublist_size:
-            raise ValueError(
-                f"list at vertex {v} has {len(t)} colors, sublist size is {sublist_size}"
-            )
-        norm.append(t)
-    return norm
-
-
 def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistState:
     """Draw a uniform random sublist of each list, independently per vertex.
 
@@ -98,10 +84,11 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     otherwise) arms the state for bad-event checks, enforcing r >= 2 and
     slack >= r - 1.
     """
-    base = _normalize_base(lists, sublist_size)
+    if sublist_size < 1:
+        raise ValueError(f"sublist size must be >= 1, got {sublist_size}")
+    base = _normalize_lists(len(lists), lists, floor=sublist_size)
     if r is not None:
-        if r < 2:
-            raise ValueError(f"r must be >= 2, got {r}")
+        _check_r(r, 2)
         if slack is None:
             sizes = {len(t) for t in base}
             if len(sizes) != 1:
@@ -220,8 +207,7 @@ def dynamic_coloring_via_sublists(
     "ok" the coloring is proper and r-dynamic (re-checked internally; a
     checker failure would be a bug and raises).
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    _check_r(r, 2)
     if g.n == 0:
         return PipelineResult(
             coloring=[],
@@ -230,18 +216,11 @@ def dynamic_coloring_via_sublists(
         )
     if len(lists) != g.n:
         raise ValueError(f"list assignment has {len(lists)} entries for {g.n} vertices")
-    sizes = {len(set(colors)) for colors in lists}
-    if len(sizes) != 1:
-        raise ValueError(f"base list sizes must be uniform, got sizes {sorted(sizes)}")
-    slack = sizes.pop() - sublist_size - r + 2
-    if slack < r - 1:
-        raise ValueError(
-            f"base size leaves slack {slack}, below the floor r-1 = {r - 1}"
-        )
     min_degree = degree_stats(g).min_degree
     if min_degree < r:
         raise ValueError(f"minimum degree {min_degree} below r = {r}")
-    state = sample_sublists(lists, sublist_size, seed, r=r, slack=slack)
+    # derives the slack from the base size, which must be uniform, and checks it
+    state = sample_sublists(lists, sublist_size, seed, r=r)
     state, log = resample_until_clear(g, state, max_iters)
     if log.status != "clear":
         return PipelineResult(coloring=None, log=log, status="cap_reached")
@@ -260,8 +239,7 @@ def sublist_condition_lhs(max_degree, r, slack, sublist_size) -> float:
     """Left side of the degree condition the sublist argument needs."""
     if min(max_degree, r, slack, sublist_size) <= 0:
         raise ValueError("all parameters must be positive")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    _check_r(r, 2)
     if slack < r - 1:
         raise ValueError(f"slack {slack} below the floor r-1 = {r - 1}")
     total = sublist_size + slack

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .coloring import _check_r
 from .graphs import Hypergraph
 
 
@@ -50,8 +51,7 @@ def candidate_family(h: Hypergraph, r) -> CandidateFamily:
     of the surviving vertices do the job (the smallest ids are kept as the
     canonical representative).
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_r(r, 1)
     if h.m == 0:
         raise ValueError("candidate_family needs at least one edge")
 
@@ -115,8 +115,7 @@ def has_small_transversal(h: Hypergraph, r, method="candidates") -> bool:
     equivalent (supersets of transversals are transversals, so a small one
     can always be padded with unused vertices).
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    _check_r(r, 0)
     if method == "bruteforce":
         return _brute_force(h, r)
     if method != "candidates":

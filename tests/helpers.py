@@ -88,6 +88,36 @@ def oracle_resample_until_clear(g, state, max_iters):
     return state, log
 
 
+def oracle_first_coloring(x, lists, mode="proper", r=0):
+    """The first valid coloring from the lists in the solvers' search order.
+
+    x is a graph, or a hypergraph in "strong" mode.  Vertices go by the
+    number of edges containing them, descending, ties by id (on a graph: by
+    degree), each trying its list in ascending order; this is the
+    lexicographically first valid coloring in that order, found by brute
+    force.  None when there is no valid coloring.
+    """
+    if mode == "strong":
+        count = [sum(v in e for e in x.edges) for v in range(x.n)]
+
+        def valid(c):
+            return all(len({c[v] for v in e}) >= min(r, len(e)) for e in x.edges)
+    else:
+        count = [len(x.adj[v]) for v in range(x.n)]
+
+        def valid(c):
+            return oracle_valid(x, c, r if mode == "dynamic" else 0)
+
+    order = sorted(range(x.n), key=lambda v: (-count[v], v))
+    for combo in itertools.product(*(sorted(set(lists[v])) for v in order)):
+        coloring = [None] * x.n
+        for v, c in zip(order, combo):
+            coloring[v] = c
+        if valid(coloring):
+            return coloring
+    return None
+
+
 def oracle_list_colorings(g, lists):
     """Yield every proper coloring picking from the given lists."""
     for combo in itertools.product(*lists):

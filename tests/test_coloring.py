@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,11 +20,39 @@ from dyncolor import (
     solve_list_coloring,
     solve_strong_list_coloring,
 )
-from .helpers import oracle_chi, oracle_list_colorings, oracle_strong_chi, oracle_valid, random_lists
+from .helpers import (
+    oracle_chi,
+    oracle_first_coloring,
+    oracle_list_colorings,
+    oracle_strong_chi,
+    oracle_valid,
+    random_lists,
+)
+
+GRAPH_MODES = [("proper", 0), ("dynamic", 1), ("dynamic", 2), ("dynamic", 3)]
 
 
 def full_lists(n, k):
     return [list(range(1, k + 1)) for _ in range(n)]
+
+
+def color_lists(n):
+    return st.lists(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3), min_size=n, max_size=n)
+
+
+@st.composite
+def listed_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges), draw(color_lists(n))
+
+
+@st.composite
+def listed_hypergraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    edges = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1), max_size=5))
+    return build_hypergraph(n, edges), draw(color_lists(n))
 
 
 # --- validity predicates ---------------------------------------------------
@@ -107,6 +136,18 @@ def test_chi_exact_matches_oracle():
         assert chi_exact(g) == oracle_chi(g)
 
 
+@pytest.mark.parametrize("mode,r", GRAPH_MODES)
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=6),
+    p=st.sampled_from([0.2, 0.4, 0.6, 0.8]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_chi_exact_matches_oracle_on_random_graphs(mode, r, n, p, seed):
+    g = generate("gnp", seed=seed, n=n, p=p)
+    assert chi_exact(g, mode=mode, r=r) == oracle_chi(g, r)
+
+
 def test_chi_exact_guards():
     with pytest.raises(ValueError):
         chi_exact(generate("cycle", n=13), mode="dynamic", r=2, max_n=12)
@@ -165,6 +206,24 @@ def test_solve_list_none_means_unsolvable():
         else:
             assert oracle_valid(g, got, 2)
             assert brute != []
+
+
+@pytest.mark.parametrize("mode,r", GRAPH_MODES)
+@settings(max_examples=100, deadline=None)
+@given(case=listed_graphs())
+def test_solve_list_returns_first_coloring_in_search_order(mode, r, case):
+    # pins the search order: another vertex or color order, or a prune that
+    # cuts a valid branch, returns another coloring (or None)
+    g, lists = case
+    assert solve_list_coloring(g, lists, mode, r) == oracle_first_coloring(g, lists, mode, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(case=listed_hypergraphs())
+def test_solve_strong_returns_first_coloring_in_search_order(r, case):
+    h, lists = case
+    assert solve_strong_list_coloring(h, lists, r) == oracle_first_coloring(h, lists, "strong", r)
 
 
 def test_solve_list_long_cycle_no_recursion_limit():

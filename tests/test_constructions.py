@@ -10,6 +10,7 @@ from dyncolor import (
     incidence_graph,
     is_r_dynamic,
     lift_coloring,
+    parse_hypergraph,
     solve_strong_list_coloring,
 )
 
@@ -146,3 +147,14 @@ def test_construction_report_cap():
     p5 = build_hypergraph(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
     with pytest.raises(ValueError):
         construction_report(p5, 2, 2, seed=0, max_n=12)  # incidence graph has 16 vertices
+
+
+def test_construction_report_r3_seed_50317():
+    # a chromatic search that tries every renaming of each coloring spends
+    # seconds on this 22-vertex incidence graph at k = 5
+    h = parse_hypergraph("h 7 4\n2 4\n3 4\n4 6\n4 7\n")
+    report = construction_report(h, 3, 3, 50317, max_n=24)
+    assert report["incidence_vertices"] == 22
+    assert report["strong_chromatic"] == 5
+    assert report["dynamic_chromatic"] == 6
+    assert report["lower_bound_holds"] and report["upper_bound_holds"]
