@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -111,18 +112,39 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(max_degree=max(degs), min_degree=min(degs), degrees=degs)
 
 
+_FAMILIES = {
+    "cycle": ("n",),
+    "complete": ("n",),
+    "complete_bipartite": ("a", "b"),
+    "gnp": ("n", "p"),
+    "random_regular": ("n", "d"),
+}
+
+
 def generate(kind, seed=0, **params) -> Graph:
     """Deterministic graph generators.
 
-    kind selects the family; seed drives all randomness (via random.Random):
+    kind selects the family and params must be exactly its parameters;
+    seed drives all randomness (via random.Random):
 
     - "cycle": n            cycle on n >= 3 vertices
     - "complete": n         K_n
     - "complete_bipartite": a, b
     - "gnp": n, p           each pair kept independently with probability p
-    - "random_regular": n, d  pairing model, rejecting loops and repeats;
-                              raises if n*d is odd or after too many rejects
+    - "random_regular": n, d  round-wise pairing of the n*d stubs (Steger and
+                              Wormald 1999): each round shuffles the unpaired
+                              stubs and keeps every pair that is no loop and
+                              no repeat; for d > (n-1)/2 the complement of a
+                              random (n-1-d)-regular graph.  Asymptotically
+                              uniform (Kim and Vu 2003), not exactly uniform
+                              at small n.  Raises if n*d is odd.
     """
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    names = _FAMILIES[kind]
+    if set(params) != set(names):
+        got = ", ".join(sorted(params)) or "none"
+        raise ValueError(f"{kind} takes parameters {', '.join(names)}; got {got}")
     rng = random.Random(seed)
     if kind == "cycle":
         n = params["n"]
@@ -141,44 +163,40 @@ def generate(kind, seed=0, **params) -> Graph:
         n, p = params["n"], params["p"]
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ]
-        return build_graph(n, edges)
-    if kind == "random_regular":
-        n, d = params["n"], params["d"]
-        return _random_regular(n, d, rng)
-    raise ValueError(f"unknown graph kind {kind!r}")
+        rand = rng.random
+        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rand() < p])
+    return _random_regular(params["n"], params["d"], rng)
 
 
 def _random_regular(n, d, rng, max_tries=2000):
-    if d < 0 or d >= n:
+    if d < 0 or d >= max(n, 1):
         raise ValueError(f"degree {d} impossible with n={n}")
     if (n * d) % 2:
         raise ValueError(f"n*d must be even, got n={n} d={d}")
-    if d == 0:
-        return build_graph(n, [])
+    if d and 2 * d > n - 1:
+        # n*(n-1-d) has the parity of n*d; dense pairings would mostly repeat edges
+        sparse = _random_regular(n, n - 1 - d, rng, max_tries)
+        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v not in sparse.adj[u]])
     for _ in range(max_tries):
+        edges = set()
         stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        pairs = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            e = (min(u, v), max(u, v))
-            if e in pairs:
-                ok = False
-                break
-            pairs.add(e)
-        if ok:
-            return build_graph(n, pairs)
-    raise ValueError(f"pairing model failed after {max_tries} tries (n={n}, d={d})")
+        while stubs:
+            rng.shuffle(stubs)
+            left = []
+            pairs = iter(stubs)
+            for u, v in zip(pairs, pairs):
+                if u > v:
+                    u, v = v, u
+                if u != v and (u, v) not in edges:
+                    edges.add((u, v))
+                else:
+                    left += (u, v)
+            if left and all(e in edges for e in itertools.combinations(sorted(set(left)), 2)):
+                break  # no leftover pair could ever be kept: restart
+            stubs = left
+        else:
+            return build_graph(n, edges)
+    raise ValueError(f"round-wise pairing failed after {max_tries} tries (n={n}, d={d})")
 
 
 def neighborhood_hypergraph(g: Graph) -> Hypergraph:

@@ -185,6 +185,12 @@ def oracle_strong_chi(h, r):
     raise AssertionError("n colors always suffice")
 
 
+def oracle_gnp(n, p, seed):
+    """G(n, p) as first written: one rng.random() < p per pair, in (i, j) order."""
+    rng = random.Random(seed)
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
 def bipartite_regular(side, d, seed):
     """d-regular bipartite graph on 2*side vertices from d disjoint permutations."""
     rng = random.Random(seed)

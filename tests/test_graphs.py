@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dyncolor import (
     bipartition,
@@ -17,6 +17,8 @@ from dyncolor import (
     is_k_degenerate,
     neighborhood_hypergraph,
 )
+
+from .helpers import oracle_gnp
 
 
 @st.composite
@@ -87,6 +89,46 @@ def test_generate_random_regular():
         generate("random_regular", seed=0, n=5, d=3)  # odd n*d
     with pytest.raises(ValueError):
         generate("random_regular", seed=0, n=4, d=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0, 0.1, 0.5, 1, 1.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gnp_matches_per_pair_oracle(n, p, seed):
+    assert generate("gnp", seed=seed, n=n, p=p) == oracle_gnp(n, p, seed)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(0, 0), (1, 0), (7, 0), (2, 1), (10, 1), (40, 6), (40, 8), (41, 20), (40, 38), (40, 39), (2000, 4)],
+)
+def test_random_regular_simple_regular_and_seeded(n, d):
+    for seed in range(3):
+        g = generate("random_regular", seed=seed, n=n, d=d)
+        assert g.n == n and g.m == n * d // 2
+        assert all(g.degree(v) == d for v in range(n))
+        assert generate("random_regular", seed=seed, n=n, d=d) == g
+
+
+def test_random_regular_reaches_every_2_regular_graph_on_6_vertices():
+    # 60 hexagons and 10 pairs of disjoint triangles; a generator that never
+    # closes a short cycle misses the triangles
+    seen = {generate("random_regular", seed=seed, n=6, d=2).edges for seed in range(3000)}
+    assert len(seen) == 70
+
+
+def test_generate_rejects_missing_and_unexpected_parameters():
+    for kind, params, names in [
+        ("gnp", {"n": 5}, "n, p"),
+        ("complete_bipartite", {"a": 2}, "a, b"),
+        ("cycle", {"n": 5, "p": 0.5}, "n"),
+        ("random_regular", {}, "n, d"),
+    ]:
+        with pytest.raises(ValueError, match=f"{kind} takes parameters {names}"):
+            generate(kind, **params)
 
 
 def test_degree_stats():
