@@ -1,7 +1,20 @@
-"""Exact choosability by one forall-lists / exists-coloring search.
+"""Exact choosability: polynomial certificates, then one forall-lists /
+exists-coloring search.
 
 A graph is k-choosable when every assignment of k-color lists admits a
-valid coloring.  The search sees hyperedges that each need some number of
+valid coloring.  In proper mode only, `is_k_choosable` first tries three
+exact certificates, in this order:
+
+- degeneracy: a d-degenerate graph is (d+1)-choosable, so k > d is True;
+- at k = 2, Erdos, Rubin and Taylor (1979, "Choosability in graphs"): a
+  graph is 2-choosable iff its core is a union of even cycles and
+  theta_{2,2,2m} graphs, True or False;
+- on a bipartite graph, Alon and Tarsi (1992, "Colorings and orientations
+  of graphs"): every Eulerian subgraph has an even number of edges, so an
+  orientation with every out-degree below k makes it k-choosable.
+
+Dynamic mode, strong mode and every proper case the certificates leave open
+go to the search.  The search sees hyperedges that each need some number of
 distinct colors.  Proper mode makes every edge a conflict edge (a hyperedge
 of its two ends with need 2); dynamic mode adds every N(v) with need
 min(r, d(v)); strong mode takes each hyperedge e with need min(r, |e|).
@@ -28,7 +41,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import _check_cap, _check_mode, _check_r
-from .graphs import Graph, Hypergraph
+from .graphs import Graph, Hypergraph, bipartition, degeneracy
 
 MET = None  # the status of a hyperedge that already has its need
 
@@ -47,10 +60,15 @@ def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
     _check_caps(g.n, k, max_n, max_k)
     if g.n == 0:
         return True
-    if mode == "proper" and k > max(map(len, g.adj)):
-        # more colors than neighbors everywhere: first-fit succeeds on any
-        # assignment in any order, so no search is needed
-        return True
+    if mode == "proper":
+        if k > degeneracy(g):
+            # first-fit in reverse peeling order: each vertex meets at most
+            # degeneracy colored neighbors
+            return True
+        if k == 2:
+            return _two_choosable(g)
+        if bipartition(g) is not None and _orientable(g, k - 1):
+            return True
     needs = [(e, 2) for e in g.edges]
     if mode == "dynamic":
         needs += [(g.adj[v], min(r, g.degree(v))) for v in range(g.n)]
@@ -64,6 +82,63 @@ def hyper_is_k_strong_choosable(h: Hypergraph, k, r, max_n=8, max_k=4) -> bool:
     if h.n == 0:
         return True
     return _all_lists_colorable(h.n, [(e, min(r, len(e))) for e in h.edges], k)
+
+
+def _two_choosable(g):
+    """Erdos-Rubin-Taylor: True iff every component of g's core is an even
+    cycle or theta_{2,2,2m}.
+
+    The core is what is left after deleting vertices of degree <= 1 over and
+    over.  A core component whose only vertices of degree above 2 are two
+    degree-3 hubs with two common neighbors is theta_{2,2,L} on L + 3
+    vertices, so L is even exactly when the component has odd order.
+    """
+    core = set(range(g.n))
+    while low := {v for v in core if len(g.adj[v] & core) < 2}:
+        core -= low
+    while core:
+        comp, todo = set(), [core.pop()]
+        while todo:
+            comp.add(v := todo.pop())
+            todo += g.adj[v] & core
+            core -= g.adj[v]
+        deg = {v: len(g.adj[v] & comp) for v in comp}
+        hubs = [v for v in comp if deg[v] > 2]
+        if hubs:
+            ok = len(hubs) == 2 and deg[hubs[0]] == deg[hubs[1]] == 3 and len(comp) % 2 == 1
+            ok = ok and len(g.adj[hubs[0]] & g.adj[hubs[1]]) >= 2
+        else:
+            ok = len(comp) % 2 == 0
+        if not ok:
+            return False
+    return True
+
+
+def _orientable(g, cap):
+    """True iff some orientation of g has every out-degree <= cap.
+
+    Any orientation is repaired vertex by vertex: while s has too many
+    out-edges, reverse a shortest out-path from s to a vertex with room.
+    When no such vertex is reachable, the vertices reachable from s span
+    more than cap edges per vertex, so no orientation exists (Hakimi).
+    """
+    out = [{w for w in g.adj[v] if w > v} for v in range(g.n)]
+    for s in range(g.n):
+        while len(out[s]) > cap:
+            parent, queue = {s: None}, [s]
+            for u in queue:
+                if len(out[u]) < cap:
+                    break
+                for w in out[u] - parent.keys():
+                    parent[w] = u
+                    queue.append(w)
+            else:
+                return False
+            while parent[u] is not None:
+                out[parent[u]].remove(u)
+                out[u].add(parent[u])
+                u = parent[u]
+    return True
 
 
 def _steps(n, needs):
