@@ -63,11 +63,12 @@ def _cmd_solve(args):
         out["coloring"] = greedy_r_dynamic(g, lists, args.r)
     else:  # lll
         sizes = {len(colors) for colors in lists}
-        if len(sizes) != 1:
+        if len(sizes) > 1:
             raise ValueError("lll mode needs uniform base list sizes")
-        base = sizes.pop()
-        # default sublist size leaves the minimum legal slack of r-1
-        sub = args.sublist_size if args.sublist_size else base - 2 * args.r + 3
+        sub = args.sublist_size
+        if sub is None and sizes:
+            # the default sublist size leaves the minimum legal slack of r-1
+            sub = sizes.pop() - 2 * args.r + 3
         result = sublists.dynamic_coloring_via_sublists(
             g, lists, sub, args.r, seed=args.seed, max_iters=args.max_iters
         )

@@ -72,9 +72,8 @@ def is_r_dynamic(g: Graph, coloring, r) -> bool:
     _check_r(r, 1)
     if not is_proper(g, coloring):
         return False
-    for v in range(g.n):
-        seen = {coloring[u] for u in g.adj[v]}
-        if len(seen) < min(r, g.degree(v)):
+    for nb in g.adj:
+        if len({coloring[u] for u in nb}) < min(r, len(nb)):
             return False
     return True
 

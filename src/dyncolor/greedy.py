@@ -32,23 +32,23 @@ def greedy_r_dynamic(g: Graph, lists, r, order=None):
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
 
+    adj = g.adj
     color = [None] * g.n
     seen = [set() for _ in range(g.n)]  # distinct colors on each vertex's neighbors
+    short = [min(r, len(nb)) for nb in adj]  # how many more seen[u] needs; it stops there
     for v in order:
-        forbidden = set()
-        for u in g.adj[v]:
-            if color[u] is not None:
-                forbidden.add(color[u])
-            if len(seen[u]) < min(r, g.degree(u)):
+        forbidden = {color[u] for u in adj[v]}
+        for u in adj[v]:
+            if short[u]:
                 forbidden |= seen[u]
         for c in norm[v]:
             if c not in forbidden:
                 color[v] = c
                 break
         else:
-            raise AssertionError(
-                f"no admissible color at vertex {v}; precondition guarantees one"
-            )
-        for u in g.adj[v]:
-            seen[u].add(color[v])
+            raise AssertionError(f"no admissible color at vertex {v}; precondition guarantees one")
+        for u in adj[v]:
+            if short[u]:  # then c was forbidden if in seen[u], so it is new there
+                seen[u].add(c)
+                short[u] -= 1
     return color

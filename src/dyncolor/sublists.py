@@ -76,10 +76,36 @@ class PipelineResult:
     status: str
 
 
+def _draws(getrandbits, pool, n, k):
+    # the pool branch of Random.sample, one getrandbits call per try
+    for m in range(n, n - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        yield pool[j]
+        pool[j] = pool[m - 1]
+
+
+def _sorted_sample(rng, population, k):
+    """tuple(sorted(rng.sample(population, k))), from the same draws.
+
+    rng ends in the same state.  The pool branch of Random.sample is inlined;
+    its set branch, subclasses of Random and an invalid k use rng.sample.
+    """
+    n = len(population)
+    # Random.sample's threshold between its pool and its set branch
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if type(rng) is not random.Random or n > setsize or not 0 <= k <= n:
+        return tuple(sorted(rng.sample(population, k)))
+    return tuple(sorted(_draws(rng.getrandbits, list(population), n, k)))
+
+
 def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistState:
     """Draw a uniform random sublist of each list, independently per vertex.
 
-    Reproducible: the same (lists, sublist_size, seed) give the same draw.
+    Reproducible: the same (lists, sublist_size, seed) give the same draw,
+    and the draws are those of Random(seed).sample on each list in turn.
     Passing r (and optionally slack; it is derived from uniform base sizes
     otherwise) arms the state for bad-event checks, enforcing r >= 2 and
     slack >= r - 1.
@@ -99,7 +125,7 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     elif slack is not None:
         raise ValueError("slack without r is meaningless")
     rng = random.Random(seed)
-    sub = [tuple(sorted(rng.sample(t, sublist_size))) for t in base]
+    sub = [_sorted_sample(rng, t, sublist_size) for t in base]
     return SublistState(
         base=base,
         sublists=sub,
@@ -179,7 +205,7 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         centre = sweep[0]
         touched = set()
         for w in sorted(adj[centre]):
-            sub = tuple(sorted(state.rng.sample(state.base[w], state.sublist_size)))
+            sub = _sorted_sample(state.rng, state.base[w], state.sublist_size)
             state.sublists[w] = sub
             sets[w] = frozenset(sub)
             state.draws += 1

@@ -16,6 +16,8 @@ from dyncolor import (
     solve_list_coloring,
     solve_strong_list_coloring,
 )
+from dyncolor.coloring import _check_r, _normalize_lists
+from dyncolor.graphs import degree_stats
 from dyncolor.sublists import ResampleLog
 
 
@@ -207,3 +209,37 @@ def bipartite_regular(side, d, seed):
 def random_lists(n, size, universe, rng):
     pool = list(universe)
     return [sorted(rng.sample(pool, size)) for _ in range(n)]
+
+
+def oracle_greedy_r_dynamic(g, lists, r, order=None):
+    """greedy_r_dynamic as first written: quotas recomputed at every step."""
+    _check_r(r, 1)
+    if g.n == 0:
+        return []
+    norm = _normalize_lists(g.n, lists, floor=r * degree_stats(g).max_degree + 1)
+    if order is None:
+        order = range(g.n)
+    order = list(order)
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order must be a permutation of the vertices")
+
+    color = [None] * g.n
+    seen = [set() for _ in range(g.n)]  # distinct colors on each vertex's neighbors
+    for v in order:
+        forbidden = set()
+        for u in g.adj[v]:
+            if color[u] is not None:
+                forbidden.add(color[u])
+            if len(seen[u]) < min(r, g.degree(u)):
+                forbidden |= seen[u]
+        for c in norm[v]:
+            if c not in forbidden:
+                color[v] = c
+                break
+        else:
+            raise AssertionError(
+                f"no admissible color at vertex {v}; precondition guarantees one"
+            )
+        for u in g.adj[v]:
+            seen[u].add(color[v])
+    return color

@@ -123,6 +123,29 @@ def test_solve_lll_cap(ws, capsys):
     assert out["coloring"] is None
 
 
+def test_solve_lll_sublist_size_zero_is_an_error(ws, capsys):
+    # an explicit 0 reaches the pipeline's check instead of the default size
+    g = ws("g.txt", K4)
+    lists = ws("l.json", json.dumps({str(v): list(range(1, 10)) for v in range(4)}))
+    argv = ["solve", "--graph", g, "--lists", lists, "--mode", "lll", "--r", "2"]
+    code, out, err = run(capsys, argv + ["--sublist-size", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: sublist size must be >= 1, got 0\n"
+    _, out, _ = run_json(capsys, argv)
+    assert out["sublist_size"] == 8  # the default: base 9 - 2r + 3
+
+
+def test_solve_empty_graph_every_mode(ws, capsys):
+    g = ws("g.txt", "p edge 0 0\n")
+    lists = ws("l.json", "{}")
+    for mode in ("exact", "greedy", "lll"):
+        code, out, _ = run_json(
+            capsys, ["solve", "--graph", g, "--lists", lists, "--mode", mode, "--r", "2"]
+        )
+        assert code == 0 and out["coloring"] == []
+    assert out["status"] == "ok" and out["sublist_size"] is None  # no lists, no size
+
+
 def test_chi_modes(ws, capsys):
     g = ws("g.txt", C4)
     code, out, _ = run_json(capsys, ["chi", "--graph", g])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -17,6 +18,13 @@ def test_random_list_assignment():
         assert all(1 <= c <= 9 for c in t)
     with pytest.raises(ValueError):
         random_list_assignment(2, 5, 4, rng)
+
+
+def test_random_list_assignment_frozen():
+    # the draws are those of Random.sample, so seeded lists never move
+    assert random_list_assignment(5, 3, 9, random.Random(0)) == [
+        (1, 7, 9), (4, 5, 8), (3, 5, 8), (3, 4, 8), (2, 3, 5)
+    ]
 
 
 def test_greedy_mode():
@@ -89,3 +97,16 @@ def test_validation():
 def test_zero_trials():
     rep = experiment_random_graphs(10, 2, trials=0, seed=0, mode="greedy", p=0.3)
     assert rep["trials"] == [] and rep["summary"] == {}
+
+
+def test_reports_frozen():
+    # one digest over seeded greedy and lll reports: graphs, lists, sublists,
+    # resampling and colorings all feed it, so any drift in a draw shows here
+    reports = [
+        experiment_random_graphs(60, 2, trials=4, seed=3, mode="greedy", p=0.1),
+        experiment_random_graphs(40, 3, trials=2, seed=4, mode="greedy", d=5),
+        experiment_random_graphs(20, 2, trials=3, seed=5, mode="lll", d=3),
+        experiment_random_graphs(12, 2, trials=3, seed=6, mode="lll", p=0.6, sublist_size=4, max_iters=200),
+    ]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "badddbde77c227fad0c58fc287e1bd7682b2e8f0ee1311d84125b016b144e7a7"

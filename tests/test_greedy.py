@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncolor import build_graph, degree_stats, generate, greedy_r_dynamic, is_proper, is_r_dynamic
-from .helpers import random_lists
+from .helpers import oracle_greedy_r_dynamic, random_lists
 
 
 def lists_of_size(g, size, seed):
@@ -72,3 +72,26 @@ def test_greedy_property(seed, r):
 def test_greedy_edgeless():
     g = build_graph(3, [])
     assert greedy_r_dynamic(g, [[5], [6], [7]], 2) == [5, 6, 7]
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([0.1, 0.25, 0.5, 0.8]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+def test_greedy_matches_first_version(seed, n, p, r, extra, shuffled):
+    # the per-vertex countdown of missing neighbor colors must pick exactly
+    # the colors the first version's recomputed quotas picked
+    rng = random.Random(seed)
+    g = generate("gnp", seed=seed, n=n, p=p)
+    size = r * degree_stats(g).max_degree + 1 + extra
+    lists = random_lists(n, size, range(1, 2 * size + 1), rng)
+    order = None
+    if shuffled:
+        order = list(range(n))
+        rng.shuffle(order)
+    assert greedy_r_dynamic(g, lists, r, order) == oracle_greedy_r_dynamic(g, lists, r, order)

@@ -22,6 +22,8 @@ from dyncolor import (
     sublist_condition_holds,
     sublist_condition_lhs,
 )
+from dyncolor.sublists import _sorted_sample
+
 from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
 
 
@@ -65,6 +67,63 @@ def test_sample_sublists_uniform_single_draws():
         state = sample_sublists([[1, 2]], 1, seed)
         counts[state.sublists[0][0]] += 1
     assert counts == {1: 5022, 2: 4978}  # frozen; a fair split within 1%
+
+
+class _CoarseRandom(random.Random):
+    # overriding random() alone makes Random.sample draw through random()
+    # instead of getrandbits, so the inlined loop must not serve it
+    def random(self):
+        return super().random()
+
+
+def _sample_set_branch(n, k):
+    # Random.sample's own rule for tracking selections in a set, not a pool
+    return n > 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def _assert_same_as_sample(rng_type, seed, population, k):
+    ours, theirs = rng_type(seed), rng_type(seed)
+    assert _sorted_sample(ours, population, k) == tuple(sorted(theirs.sample(population, k)))
+    assert ours.getstate() == theirs.getstate()
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=300),
+    st.data(),
+    st.sampled_from(["range", "tuple"]),
+    st.sampled_from([random.Random, _CoarseRandom]),
+)
+def test_sorted_sample_draws_as_random_sample(seed, size, data, kind, rng_type):
+    k = data.draw(st.one_of(st.just(0), st.just(size), st.integers(min_value=0, max_value=size)))
+    if kind == "range":
+        population = range(7, 7 + size)
+    else:  # repeats allowed, as in Random.sample
+        population = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)))
+    _assert_same_as_sample(rng_type, seed, population, k)
+
+
+@pytest.mark.parametrize(
+    "size, k, set_branch",
+    [(0, 0, False), (21, 21, False), (22, 5, True), (22, 6, False), (85, 6, False), (86, 6, True),
+     (277, 50, False), (278, 50, True), (300, 3, True), (300, 200, False), (300, 300, False)],
+)
+def test_sorted_sample_both_branches_of_sample(size, k, set_branch):
+    assert _sample_set_branch(size, k) == set_branch
+    for seed in range(5):
+        _assert_same_as_sample(random.Random, seed, range(1, size + 1), k)
+        _assert_same_as_sample(random.Random, seed, tuple(range(size, 0, -1)), k)
+        _assert_same_as_sample(_CoarseRandom, seed, range(1, size + 1), k)
+
+
+@pytest.mark.parametrize("k", [-1, 6, 40])
+def test_sorted_sample_rejects_k_as_sample_does(k):
+    with pytest.raises(ValueError) as ours:
+        _sorted_sample(random.Random(0), range(5), k)
+    with pytest.raises(ValueError) as theirs:
+        random.Random(0).sample(range(5), k)
+    assert str(ours.value) == str(theirs.value)
 
 
 # --- event machinery --------------------------------------------------------
