@@ -15,9 +15,9 @@ exact certificates, in this order:
 
 Dynamic mode, strong mode and every proper case the certificates leave open
 go to the search.  The search sees hyperedges that each need some number of
-distinct colors.  Proper mode makes every edge a conflict edge (a hyperedge
-of its two ends with need 2); dynamic mode adds every N(v) with need
-min(r, d(v)); strong mode takes each hyperedge e with need min(r, |e|).
+distinct colors: the mode's constraints from `coloring._constraints`, plus,
+on a graph, each edge as a hyperedge of its two ends with need 2 (which is
+properness; needs below 2 hold on any coloring and are dropped).
 
 Lists are filled one vertex at a time in a maximum-cardinality-search order:
 next is the unfilled vertex with the most filled neighbors (vertices sharing
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import _check_cap, _check_mode, _check_r
+from .coloring import _check_cap, _constraints
 from .graphs import Graph, Hypergraph, bipartition, degeneracy
 
 MET = None  # the status of a hyperedge that already has its need
@@ -56,7 +56,7 @@ def _check_caps(n, k, max_n, max_k):
 
 def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
     """True iff every assignment of k-color lists admits a valid coloring."""
-    _check_mode(mode, r)
+    edges, need, _ = _constraints(g, mode, r)
     _check_caps(g.n, k, max_n, max_k)
     if g.n == 0:
         return True
@@ -69,19 +69,14 @@ def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
             return _two_choosable(g)
         if bipartition(g) is not None and _orientable(g, k - 1):
             return True
-    needs = [(e, 2) for e in g.edges]
-    if mode == "dynamic":
-        needs += [(g.adj[v], min(r, g.degree(v))) for v in range(g.n)]
-    return _all_lists_colorable(g.n, needs, k)
+    return _all_lists_colorable(g.n, [(e, 2) for e in g.edges] + list(zip(edges, need)), k)
 
 
 def hyper_is_k_strong_choosable(h: Hypergraph, k, r, max_n=8, max_k=4) -> bool:
     """True iff every assignment of k-color lists admits an r-strong coloring."""
-    _check_r(r, 1)
+    edges, need, _ = _constraints(h, "strong", r)
     _check_caps(h.n, k, max_n, max_k)
-    if h.n == 0:
-        return True
-    return _all_lists_colorable(h.n, [(e, min(r, len(e))) for e in h.edges], k)
+    return h.n == 0 or _all_lists_colorable(h.n, list(zip(edges, need)), k)
 
 
 def _two_choosable(g):

@@ -29,16 +29,18 @@ def _read(path):
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(path):
-    return io.parse_graph(_read(path))
-
-
-def _load_hypergraph(path):
-    return io.parse_hypergraph(_read(path))
+def _load(args):
+    """The --hypergraph input in strong mode, else the --graph one."""
+    flag = "hypergraph" if args.mode == "strong" else "graph"
+    path = getattr(args, flag)
+    if path is None:
+        raise ValueError(f"{args.mode} mode needs --{flag}")
+    parse = io.parse_hypergraph if flag == "hypergraph" else io.parse_graph
+    return parse(_read(path))
 
 
 def _cmd_check(args):
-    g = _load_graph(args.graph)
+    g = _load(args)
     c = io.parse_coloring(_read(args.coloring), g.n)
     if args.mode == "proper":
         valid = coloring.is_proper(g, c)
@@ -49,7 +51,7 @@ def _cmd_check(args):
 
 
 def _cmd_solve(args):
-    g = _load_graph(args.graph)
+    g = _load(args)
     lists = io.parse_lists(_read(args.lists), g.n)
     out = {"command": "solve", "mode": args.mode, "r": args.r}
     if args.mode == "exact":
@@ -82,43 +84,28 @@ def _cmd_solve(args):
 
 
 def _cmd_chi(args):
-    out = {"command": "chi", "mode": args.mode, "r": args.r}
+    x = _load(args)
     if args.mode == "strong":
-        if args.hypergraph is None:
-            raise ValueError("strong mode needs --hypergraph")
-        h = _load_hypergraph(args.hypergraph)
-        out["chi"] = coloring.hyper_chi_strong(h, args.r, max_n=args.max_n)
+        chi = coloring.hyper_chi_strong(x, args.r, max_n=args.max_n)
     else:
-        if args.graph is None:
-            raise ValueError(f"{args.mode} mode needs --graph")
-        g = _load_graph(args.graph)
-        out["chi"] = coloring.chi_exact(g, mode=args.mode, r=args.r, max_n=args.max_n)
-    _emit(out)
+        chi = coloring.chi_exact(x, mode=args.mode, r=args.r, max_n=args.max_n)
+    _emit({"command": "chi", "mode": args.mode, "r": args.r, "chi": chi})
     return 0
 
 
 def _cmd_choosable(args):
-    out = {"command": "choosable", "mode": args.mode, "k": args.k, "r": args.r}
+    x = _load(args)
+    caps = {"max_n": args.max_n, "max_k": args.max_k}
     if args.mode == "strong":
-        if args.hypergraph is None:
-            raise ValueError("strong mode needs --hypergraph")
-        h = _load_hypergraph(args.hypergraph)
-        out["choosable"] = choosability.hyper_is_k_strong_choosable(
-            h, args.k, args.r, max_n=args.max_n, max_k=args.max_k
-        )
+        ok = choosability.hyper_is_k_strong_choosable(x, args.k, args.r, **caps)
     else:
-        if args.graph is None:
-            raise ValueError(f"{args.mode} mode needs --graph")
-        g = _load_graph(args.graph)
-        out["choosable"] = choosability.is_k_choosable(
-            g, args.k, mode=args.mode, r=args.r, max_n=args.max_n, max_k=args.max_k
-        )
-    _emit(out)
+        ok = choosability.is_k_choosable(x, args.k, mode=args.mode, r=args.r, **caps)
+    _emit({"command": "choosable", "mode": args.mode, "k": args.k, "r": args.r, "choosable": ok})
     return 0
 
 
 def _cmd_construct(args):
-    h = _load_hypergraph(args.hypergraph)
+    h = io.parse_hypergraph(_read(args.hypergraph))
     report = constructions.construction_report(
         h, args.r, args.k, args.seed, max_n=args.max_n
     )

@@ -1,15 +1,13 @@
 """Exact coloring predicates and desk-scale solvers.
 
-Every solver here runs one search engine, `_search`: color the vertices so
-that each edge j of a hypergraph ends with need[j] distinct colors and no
-vertex v repeats a color already on the edge avoid[v].  Graph modes take the
-neighborhoods N(u) as the edges, with avoid[v] = v (a color on N(v) is
-taken, which is properness) and need min(r, d(u)) in dynamic mode, 0 in
-proper mode.  Strong mode takes the hyperedges with need min(r, |e|) and no
-avoid rule.  Vertices go by the number of edges containing them, descending,
-ties by id (on graphs: by degree); colors ascend through each vertex's list,
-or through 1..k in first-use order.  The exact chromatic numbers are the
-least k at which the first-use search succeeds.
+Every solver here runs one search engine, `_search`, on the constraints that
+`_constraints` builds for a graph in proper or dynamic mode or a hypergraph
+in strong mode.  That builder is the one place a mode becomes constraints,
+and its docstring states the rule.
+Vertices go by the number of edges containing them, descending, ties by id
+(on graphs: by degree); colors ascend through each vertex's list, or through
+1..k in first-use order.  The exact chromatic numbers are the least k at
+which the first-use search succeeds (`_least_k`).
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
@@ -36,13 +34,6 @@ def _check_r(r, floor):
         raise ValueError(f"r must be >= {floor}, got {r}")
 
 
-def _check_mode(mode, r):
-    if mode not in ("proper", "dynamic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "dynamic":
-        _check_r(r, 1)
-
-
 def _check_cap(n, max_n):
     if n > max_n:
         raise ValueError(f"n={n} exceeds cap {max_n}; pass max_n to override")
@@ -67,25 +58,42 @@ def is_proper(g: Graph, coloring) -> bool:
     return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
+def _meets(edges, coloring, r):
+    """True when every edge e carries min(r, |e|) distinct colors."""
+    return all(len({coloring[v] for v in e}) >= min(r, len(e)) for e in edges)
+
+
 def is_r_dynamic(g: Graph, coloring, r) -> bool:
     """Proper, and every vertex sees min(r, d(v)) distinct neighbor colors."""
     _check_r(r, 1)
-    if not is_proper(g, coloring):
-        return False
-    for nb in g.adj:
-        if len({coloring[u] for u in nb}) < min(r, len(nb)):
-            return False
-    return True
+    return is_proper(g, coloring) and _meets(g.adj, coloring, r)
 
 
 def is_r_strong(h: Hypergraph, coloring, r) -> bool:
     """Every edge carries min(r, |e|) distinct colors; properness not required."""
     _check_r(r, 1)
     _check_coloring(h.n, coloring)
-    for e in h.edges:
-        if len({coloring[v] for v in e}) < min(r, len(e)):
-            return False
-    return True
+    return _meets(h.edges, coloring, r)
+
+
+def _constraints(x, mode, r):
+    """The search's (edges, need, avoid) for x in mode, after the mode and r checks.
+
+    A graph takes mode "proper" or "dynamic", a hypergraph only "strong".
+    On a graph the edges are the neighborhoods N(u), with need min(r, d(u))
+    in dynamic mode and 0 in proper mode, and avoid[v] = v: a color on N(v)
+    is taken, which is properness.  So an r-dynamic coloring is a proper one
+    that is r-strong on the neighborhood hypergraph.  Strong mode takes the
+    hyperedges with need min(r, |e|) and no avoid rule.
+    """
+    graph = isinstance(x, Graph)
+    if mode not in (("proper", "dynamic") if graph else ("strong",)):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "proper":
+        _check_r(r, 1)
+    edges = x.adj if graph else x.edges
+    need = [0] * len(edges) if mode == "proper" else [min(r, len(e)) for e in edges]
+    return edges, need, (range(x.n) if graph else None)
 
 
 def _search(n, edges, need, avoid, lists=None, k=None):
@@ -162,21 +170,28 @@ def _search(n, edges, need, avoid, lists=None, k=None):
     return None
 
 
-def _least_k(n, edges, need, avoid, low):
-    """Least k >= low at which the first-use search finds a coloring."""
-    if n == 0:
-        return 0
-    for k in range(low, n + 1):
-        if _search(n, edges, need, avoid, k=k) is not None:
-            return k
+def _least_k(x, mode, r, max_n):
+    """The least k at which colors 1..k admit a valid coloring, and the first one.
+
+    Starts at the trivial lower bound: the largest need, which alone takes
+    that many colors, plus one on a graph with an edge (a vertex of maximum
+    degree differs from its neighbors, which carry min(r, maxdeg) colors in
+    dynamic mode).  Terminates at k = n at the latest: the all-distinct
+    coloring is valid in every mode.  The coloring is the first from lists
+    1..k as well: that one is the lexicographically least valid coloring,
+    which is already in first-use form, so the first-use search reaches it
+    first.
+    """
+    edges, need, avoid = _constraints(x, mode, r)
+    _check_cap(x.n, max_n)
+    if x.n == 0:
+        return 0, []
+    low = max([1, *need]) + (avoid is not None and x.m > 0)
+    for k in range(low, x.n + 1):
+        coloring = _search(x.n, edges, need, avoid, k=k)
+        if coloring is not None:
+            return k, coloring
     raise AssertionError("unreachable: n colors always suffice")
-
-
-def _graph_needs(g: Graph, mode, r):
-    _check_mode(mode, r)
-    if mode == "proper":
-        return [0] * g.n
-    return [min(r, len(a)) for a in g.adj]
 
 
 def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
@@ -188,39 +203,19 @@ def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
     neighbor brings a fresh one; on a full assignment that test is the exact
     dynamic condition, so accepted leaves are valid.
     """
-    need = _graph_needs(g, mode, r)
-    return _search(g.n, g.adj, need, range(g.n), lists=_normalize_lists(g.n, lists))
+    return _search(g.n, *_constraints(g, mode, r), lists=_normalize_lists(g.n, lists))
 
 
 def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:
-    """Least k such that lists {1..k} everywhere admit a valid coloring.
-
-    Starts at the trivial lower bound: 1 without edges, else 2 in proper
-    mode and min(r, maxdeg) + 1 in dynamic mode (a vertex of maximum degree
-    differs from its neighbors, which carry min(r, maxdeg) colors).
-    Terminates at k = n at the latest: the all-distinct coloring is proper
-    and gives every vertex d(v) >= min(r, d(v)) neighbor colors.
-    """
-    need = _graph_needs(g, mode, r)
-    _check_cap(g.n, max_n)
-    low = max([1, *need]) + 1 if g.edges else 1
-    return _least_k(g.n, g.adj, need, range(g.n), low)
+    """Least k such that lists {1..k} everywhere admit a valid coloring."""
+    return _least_k(g, mode, r, max_n)[0]
 
 
 def solve_strong_list_coloring(h: Hypergraph, lists, r):
     """r-strong coloring with c(v) in lists[v], or None."""
-    _check_r(r, 1)
-    need = [min(r, len(e)) for e in h.edges]
-    return _search(h.n, h.edges, need, None, lists=_normalize_lists(h.n, lists))
+    return _search(h.n, *_constraints(h, "strong", r), lists=_normalize_lists(h.n, lists))
 
 
 def hyper_chi_strong(h: Hypergraph, r, max_n=12) -> int:
-    """Least k admitting an r-strong k-coloring (all-distinct always works).
-
-    Starts at the largest need min(r, |e|), which alone takes that many
-    colors.
-    """
-    _check_r(r, 1)
-    _check_cap(h.n, max_n)
-    need = [min(r, len(e)) for e in h.edges]
-    return _least_k(h.n, h.edges, need, None, max([1, *need]))
+    """Least k admitting an r-strong k-coloring (all-distinct always works)."""
+    return _least_k(h, "strong", r, max_n)[0]

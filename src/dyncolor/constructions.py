@@ -15,14 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coloring import (
-    _check_r,
-    chi_exact,
-    hyper_chi_strong,
-    is_r_dynamic,
-    is_r_strong,
-    solve_strong_list_coloring,
-)
+from .coloring import _check_r, _least_k, chi_exact, is_r_dynamic, is_r_strong
 from .graphs import Hypergraph, incidence_graph, is_bipartite, is_k_degenerate
 
 
@@ -142,15 +135,14 @@ def construction_report(h: Hypergraph, r, k, seed, max_n=12):
     incidence graph, the exact r-strong chromatic number of the augmented
     hypergraph, the exact r-dynamic chromatic number of the incidence graph,
     the validity and color count of the lifted coloring, and the two
-    comparisons strong <= dynamic and dynamic <= strong + r.  max_n guards
-    both exact searches (the incidence graph is the larger instance).
+    comparisons strong <= dynamic and dynamic <= strong + r.  The lifted
+    coloring starts from the r-strong coloring that the least-k search ends
+    on.  max_n guards both exact searches (the incidence graph is the larger
+    instance).
     """
     aug = augment(h, r, k, seed)
     g, vertex_part, edge_part = incidence_graph(aug.hyper)
-    strong = hyper_chi_strong(aug.hyper, r, max_n=max_n)
-    f = solve_strong_list_coloring(
-        aug.hyper, [tuple(range(1, strong + 1))] * aug.hyper.n, r
-    )
+    strong, f = _least_k(aug.hyper, "strong", r, max_n)
     alphas = tuple(range(strong + 1, strong + r + 1))
     lifted = lift_coloring(aug, f, alphas)
     dynamic = chi_exact(g, mode="dynamic", r=r, max_n=max_n)

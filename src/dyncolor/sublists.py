@@ -231,10 +231,14 @@ def dynamic_coloring_via_sublists(
     Base lists must share one size, equal to sublist_size + slack + r - 2
     for some slack >= r - 1, and every vertex needs degree >= r.  On status
     "ok" the coloring is proper and r-dynamic (re-checked internally; a
-    checker failure would be a bug and raises).
+    checker failure would be a bug and raises).  The empty graph has no
+    list to size, so there sublist_size may be None, but a size given must
+    still be legal.
     """
     _check_r(r, 2)
     if g.n == 0:
+        if sublist_size is not None and sublist_size < 1:
+            raise ValueError(f"sublist size must be >= 1, got {sublist_size}")
         return PipelineResult(
             coloring=[],
             log=ResampleLog(iterations=0, violations_per_sweep=(), status="clear"),

@@ -146,6 +146,17 @@ def test_solve_empty_graph_every_mode(ws, capsys):
     assert out["status"] == "ok" and out["sublist_size"] is None  # no lists, no size
 
 
+def test_solve_lll_sublist_size_zero_on_empty_graph_is_an_error(ws, capsys):
+    g = ws("g.txt", "p edge 0 0\n")
+    lists = ws("l.json", "{}")
+    argv = ["solve", "--graph", g, "--lists", lists, "--mode", "lll", "--r", "2"]
+    code, out, err = run(capsys, argv + ["--sublist-size", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: sublist size must be >= 1, got 0\n"
+    code, out, _ = run_json(capsys, argv + ["--sublist-size", "3"])
+    assert code == 0 and out["sublist_size"] == 3 and out["coloring"] == []
+
+
 def test_chi_modes(ws, capsys):
     g = ws("g.txt", C4)
     code, out, _ = run_json(capsys, ["chi", "--graph", g])
@@ -218,6 +229,20 @@ def test_usage_errors_exit_2(ws, capsys):
     assert code == 2 and "hypergraph" in err
     code, _, err = run(capsys, ["chi", "--graph", g, "--mode", "dynamic", "--r", "0"])
     assert code == 2
+
+
+def test_missing_instance_errors(ws, capsys):
+    g = ws("g.txt", C4)
+    h = ws("h.txt", TWO_TRIPLES)
+    for argv, line in [
+        (["choosable", "--k", "2", "--mode", "strong", "--r", "2"], "strong mode needs --hypergraph"),
+        (["choosable", "--graph", g, "--k", "2", "--mode", "strong", "--r", "2"],
+         "strong mode needs --hypergraph"),
+        (["chi", "--mode", "dynamic", "--r", "2"], "dynamic mode needs --graph"),
+        (["chi", "--hypergraph", h, "--mode", "dynamic", "--r", "2"], "dynamic mode needs --graph"),
+        (["chi"], "proper mode needs --graph"),
+    ]:
+        assert run(capsys, argv) == (2, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("error", [AssertionError, RecursionError])

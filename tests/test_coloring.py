@@ -20,6 +20,7 @@ from dyncolor import (
     solve_list_coloring,
     solve_strong_list_coloring,
 )
+from dyncolor.coloring import _least_k
 from .helpers import (
     oracle_chi,
     oracle_first_coloring,
@@ -224,6 +225,47 @@ def test_solve_list_returns_first_coloring_in_search_order(mode, r, case):
 def test_solve_strong_returns_first_coloring_in_search_order(r, case):
     h, lists = case
     assert solve_strong_list_coloring(h, lists, r) == oracle_first_coloring(h, lists, "strong", r)
+
+
+@st.composite
+def small_graphs(draw):
+    # repeated and reversed pairs collapse to one edge; no pairs is edgeless
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+
+
+@st.composite
+def small_hypergraphs(draw):
+    # duplicate and empty edges are kept; no edges is edgeless
+    n = draw(st.integers(min_value=0, max_value=7))
+    edges = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5)) if n else []
+    if edges and draw(st.booleans()):
+        edges.append(edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))])
+    return build_hypergraph(n, edges)
+
+
+@pytest.mark.parametrize("mode,r", GRAPH_MODES)
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs())
+def test_least_k_coloring_is_first_from_full_lists(mode, r, g):
+    # construction_report lifts this coloring in place of a second search
+    k, coloring = _least_k(g, mode, r, g.n)
+    assert k == chi_exact(g, mode, r)
+    assert coloring == solve_list_coloring(g, full_lists(g.n, k), mode, r)
+    if k > 1:
+        assert solve_list_coloring(g, full_lists(g.n, k - 1), mode, r) is None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(h=small_hypergraphs())
+def test_least_k_strong_coloring_is_first_from_full_lists(r, h):
+    k, coloring = _least_k(h, "strong", r, h.n)
+    assert k == hyper_chi_strong(h, r)
+    assert coloring == solve_strong_list_coloring(h, full_lists(h.n, k), r)
+    if k > 1:
+        assert solve_strong_list_coloring(h, full_lists(h.n, k - 1), r) is None
 
 
 def test_solve_list_long_cycle_no_recursion_limit():

@@ -330,6 +330,15 @@ def test_pipeline_empty_graph():
     assert res.coloring == []
 
 
+def test_pipeline_empty_graph_checks_sublist_size():
+    # the same check as on a nonempty graph; None (no list to size) passes
+    empty = build_graph(0, [])
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"^sublist size must be >= 1, got {size}$"):
+            dynamic_coloring_via_sublists(empty, [], size, 2, seed=0)
+    assert dynamic_coloring_via_sublists(empty, [], None, 2, seed=0).status == "ok"
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_pipeline_ok_colorings_are_valid(seed):
