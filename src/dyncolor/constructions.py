@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .coloring import _check_r, _least_k, chi_exact, is_r_dynamic, is_r_strong
 from .graphs import Hypergraph, incidence_graph, is_bipartite, is_k_degenerate
 
+_PARTITION_TRIES = 1000
+
 
 @dataclass(frozen=True)
 class AugmentedHypergraph:
@@ -38,13 +40,13 @@ class AugmentedHypergraph:
         raise IndexError(f"edge index {j} out of range")
 
 
-def augment(h: Hypergraph, r, k, seed, max_tries=1000) -> AugmentedHypergraph:
+def augment(h: Hypergraph, r, k, seed) -> AugmentedHypergraph:
     """Core-extend h to k-uniformity and append r disjoint vertex partitions.
 
     Requires k >= r >= 2 and every edge of h of size exactly k - r + 2.
     Partitions are drawn by seeded shuffling, rejecting any that repeats an
     already-used block; impossibility (e.g. a single-block universe cannot
-    host two distinct partitions) surfaces as an error after max_tries.
+    host two distinct partitions) raises after _PARTITION_TRIES draws.
     """
     _check_r(r, 2)
     if k < r:
@@ -66,7 +68,7 @@ def augment(h: Hypergraph, r, k, seed, max_tries=1000) -> AugmentedHypergraph:
     used_blocks = set()
     partitions = []
     for i in range(r):
-        for _ in range(max_tries):
+        for _ in range(_PARTITION_TRIES):
             perm = list(range(padded))
             rng.shuffle(perm)
             blocks = [frozenset(perm[j : j + k]) for j in range(0, padded, k)]
@@ -75,7 +77,7 @@ def augment(h: Hypergraph, r, k, seed, max_tries=1000) -> AugmentedHypergraph:
         else:
             raise ValueError(
                 f"could not draw partition {i + 1} of {r} with unused blocks "
-                f"after {max_tries} tries (padded n={padded}, k={k})"
+                f"after {_PARTITION_TRIES} tries (padded n={padded}, k={k})"
             )
         used_blocks.update(blocks)
         partitions.append(blocks)

@@ -26,9 +26,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -46,23 +43,11 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def uniformity(self):
-        """Common edge size if all edges have one, else None.
-
-        An edgeless hypergraph is vacuously uniform; returns None for it too
-        since there is no witness size.
-        """
-        sizes = {len(e) for e in self.edges}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
-
 
 @dataclass(frozen=True)
 class DegreeStats:
     max_degree: int
     min_degree: int
-    degrees: tuple[int, ...]
 
 
 def build_graph(n, edge_list) -> Graph:
@@ -109,7 +94,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
         raise ValueError("degree stats undefined for the empty graph")
     degs = tuple(len(g.adj[v]) for v in range(g.n))
-    return DegreeStats(max_degree=max(degs), min_degree=min(degs), degrees=degs)
+    return DegreeStats(max_degree=max(degs), min_degree=min(degs))
 
 
 _FAMILIES = {
@@ -168,16 +153,19 @@ def generate(kind, seed=0, **params) -> Graph:
     return _random_regular(params["n"], params["d"], rng)
 
 
-def _random_regular(n, d, rng, max_tries=2000):
+_REGULAR_TRIES = 2000
+
+
+def _random_regular(n, d, rng):
     if d < 0 or d >= max(n, 1):
         raise ValueError(f"degree {d} impossible with n={n}")
     if (n * d) % 2:
         raise ValueError(f"n*d must be even, got n={n} d={d}")
     if d and 2 * d > n - 1:
         # n*(n-1-d) has the parity of n*d; dense pairings would mostly repeat edges
-        sparse = _random_regular(n, n - 1 - d, rng, max_tries)
+        sparse = _random_regular(n, n - 1 - d, rng)
         return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v not in sparse.adj[u]])
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         edges = set()
         stubs = [v for v in range(n) for _ in range(d)]
         while stubs:
@@ -196,7 +184,7 @@ def _random_regular(n, d, rng, max_tries=2000):
             stubs = left
         else:
             return build_graph(n, edges)
-    raise ValueError(f"round-wise pairing failed after {max_tries} tries (n={n}, d={d})")
+    raise ValueError(f"round-wise pairing failed after {_REGULAR_TRIES} tries (n={n}, d={d})")
 
 
 def neighborhood_hypergraph(g: Graph) -> Hypergraph:

@@ -110,7 +110,7 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     otherwise) arms the state for bad-event checks, enforcing r >= 2 and
     slack >= r - 1.
     """
-    if sublist_size < 1:
+    if sublist_size is None or sublist_size < 1:
         raise ValueError(f"sublist size must be >= 1, got {sublist_size}")
     base = _normalize_lists(len(lists), lists, floor=sublist_size)
     if r is not None:

@@ -1,22 +1,20 @@
-"""Small-transversal detection via a recursive candidate family.
+"""Small transversals: a direct decision and the paper's candidate family.
 
-A transversal is a vertex set meeting every edge.  candidate_family builds,
-for a target size r, a family of at most k^r size-r sets (k = largest edge)
-with the property that a size-r transversal exists iff some member of the
-family is one.  Branching is on the lowest-index edge; recursing on vertex v
-removes v and every edge containing v (the surviving edges are exactly the
-ones the rest of the transversal must cover).
+A transversal is a vertex set meeting every edge.  has_small_transversal
+decides whether one of size at most r exists, on any hypergraph, with
+_hit_by_at_most: a depth-bounded search that branches on a smallest edge and
+stops at the first transversal (the sublist bad-event check uses it too).
 
-candidate_family is kept as the paper's constructive object and is no longer
-on the resampling hot path: the sublist bad-event check decides the same
-question with _hit_by_at_most, a depth-bounded search that branches on a
-smallest edge and stops at the first transversal, with no family built.
+candidate_family, the paper's constructive object and the tests' reference,
+builds for a target size r at most k^r size-r sets (k = largest edge) such
+that a size-r transversal exists iff some member is one.  Branching is on the
+lowest-index edge; recursing on vertex v removes v and every edge containing
+v (the surviving edges are exactly the ones the rest must cover).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .coloring import _check_r
 from .graphs import Hypergraph
@@ -97,35 +95,7 @@ def _hit_by_at_most(edges, k) -> bool:
     )
 
 
-def _brute_force(h, r):
-    vertices = range(h.n)
-    for size in range(min(r, h.n) + 1):
-        for subset in combinations(vertices, size):
-            if is_transversal(h, subset):
-                return True
-    return False
-
-
-def has_small_transversal(h: Hypergraph, r, method="candidates") -> bool:
-    """Decide whether a transversal of size at most r exists.
-
-    method "bruteforce" tries every subset of size <= r and works on any
-    hypergraph.  method "candidates" goes through candidate_family and
-    requires uniform edge sizes; it asks for size exactly min(r, n), which is
-    equivalent (supersets of transversals are transversals, so a small one
-    can always be padded with unused vertices).
-    """
+def has_small_transversal(h: Hypergraph, r) -> bool:
+    """Decide whether a transversal of size at most r exists, on any hypergraph."""
     _check_r(r, 0)
-    if method == "bruteforce":
-        return _brute_force(h, r)
-    if method != "candidates":
-        raise ValueError(f"unknown method {method!r}")
-    if h.m == 0:
-        return True
-    if h.uniformity() is None:
-        raise ValueError("candidates method requires uniform edge sizes")
-    effective = min(r, h.n)
-    if effective == 0:
-        return False
-    family = candidate_family(h, effective)
-    return any(is_transversal(h, member) for member in family)
+    return _hit_by_at_most(list(h.edges), r)

@@ -11,7 +11,8 @@ import random
 
 from dyncolor import (
     build_graph,
-    has_small_transversal,
+    candidate_family,
+    is_transversal,
     neighborhood_color_hypergraph,
     solve_list_coloring,
     solve_strong_list_coloring,
@@ -65,7 +66,7 @@ def oracle_resample_until_clear(g, state, max_iters):
 
     def bad_event_holds(g, state, v):
         hv = neighborhood_color_hypergraph(g, state.sublists, v)
-        return has_small_transversal(hv, state.r - 1, method="candidates")
+        return any(is_transversal(hv, s) for s in candidate_family(hv, min(r - 1, hv.n)))
 
     eligible = [v for v in range(g.n) if g.degree(v) >= r]
     sweeps = []

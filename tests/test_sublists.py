@@ -319,6 +319,9 @@ def test_pipeline_validation():
         dynamic_coloring_via_sublists(g, [[1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3, 4]], 2, 2, seed=0)
     with pytest.raises(ValueError):
         dynamic_coloring_via_sublists(g, [[1, 2, 3]] * 4, 3, 2, seed=0)  # slack 0
+    # None sizes no list, so only the empty graph may pass it
+    with pytest.raises(ValueError, match="^sublist size must be >= 1, got None$"):
+        dynamic_coloring_via_sublists(g, [[1, 2, 3, 4, 5]] * 4, None, 2, seed=0)
     path = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         dynamic_coloring_via_sublists(path, [[1, 2, 3]] * 3, 2, 2, seed=0)  # degree 1 < r

@@ -55,14 +55,11 @@ def test_candidate_family_empty_edge():
 
 
 def test_uniformity_requirement():
-    # the family itself tolerates mixed edge sizes; only the decision method
-    # that relies on the k^r accounting rejects them
+    # the family and the decision both take mixed edge sizes
     h = build_hypergraph(3, [{0}, {1, 2}])
     fam = candidate_family(h, 2)
     assert frozenset({0, 1}) in fam.sets and frozenset({0, 2}) in fam.sets
-    with pytest.raises(ValueError):
-        has_small_transversal(h, 2, method="candidates")
-    assert has_small_transversal(h, 2, method="bruteforce")
+    assert has_small_transversal(h, 2)
 
 
 def test_candidate_family_size_bound():
@@ -85,18 +82,12 @@ def test_has_small_transversal_agrees_with_brute_force():
         h = build_hypergraph(n, edges)
         for r in (0, 1, 2, 3):
             want = oracle_has_small_transversal(h, r)
-            assert has_small_transversal(h, r, method="candidates") == want
-            assert has_small_transversal(h, r, method="bruteforce") == want
+            assert has_small_transversal(h, r) == want
 
 
 def test_has_small_transversal_r0():
     assert has_small_transversal(build_hypergraph(3, []), 0)
     assert not has_small_transversal(build_hypergraph(3, [{0}]), 0)
-
-
-def test_has_small_transversal_bad_method():
-    with pytest.raises(ValueError):
-        has_small_transversal(build_hypergraph(2, [{0}]), 1, method="magic")
 
 
 @settings(max_examples=60)
@@ -131,4 +122,6 @@ def test_hit_by_at_most_agrees_with_oracle(instance, k):
     # edges of mixed sizes, empty ones included, with the first repeated
     n, edges = instance
     h = build_hypergraph(n, edges + edges[:1])
-    assert _hit_by_at_most(list(h.edges), k) == oracle_has_small_transversal(h, k)
+    want = oracle_has_small_transversal(h, k)
+    assert _hit_by_at_most(list(h.edges), k) == want
+    assert has_small_transversal(h, k) == want
