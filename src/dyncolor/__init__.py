@@ -1,15 +1,13 @@
 """r-dynamic graph and hypergraph coloring toolkit."""
 
 from .bounds import bounds_report
-from .choosability import hyper_is_k_strong_choosable, is_k_choosable
+from .choosability import is_k_choosable
 from .coloring import (
     chi_exact,
-    hyper_chi_strong,
     is_proper,
     is_r_dynamic,
     is_r_strong,
     solve_list_coloring,
-    solve_strong_list_coloring,
 )
 from .constructions import AugmentedHypergraph, augment, construction_report, lift_coloring
 from .experiments import experiment_random_graphs, random_list_assignment

@@ -46,37 +46,30 @@ from .graphs import Graph, Hypergraph, bipartition, degeneracy
 MET = None  # the status of a hyperedge that already has its need
 
 
-def _check_caps(n, k, max_n, max_k):
+def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
+    """True iff every assignment of k-color lists admits a valid coloring.
+
+    x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
+    """
+    edges, need, avoid = _constraints(x, mode, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_cap(n, max_n)
+    _check_cap(x.n, max_n)
     if k > max_k:
         raise ValueError(f"k={k} exceeds cap {max_k}; pass max_k to override")
-
-
-def is_k_choosable(g: Graph, k, mode="proper", r=0, max_n=8, max_k=4) -> bool:
-    """True iff every assignment of k-color lists admits a valid coloring."""
-    edges, need, _ = _constraints(g, mode, r)
-    _check_caps(g.n, k, max_n, max_k)
-    if g.n == 0:
+    if x.n == 0:
         return True
     if mode == "proper":
-        if k > degeneracy(g):
+        if k > degeneracy(x):
             # first-fit in reverse peeling order: each vertex meets at most
             # degeneracy colored neighbors
             return True
         if k == 2:
-            return _two_choosable(g)
-        if bipartition(g) is not None and _orientable(g, k - 1):
+            return _two_choosable(x)
+        if bipartition(x) is not None and _orientable(x, k - 1):
             return True
-    return _all_lists_colorable(g.n, [(e, 2) for e in g.edges] + list(zip(edges, need)), k)
-
-
-def hyper_is_k_strong_choosable(h: Hypergraph, k, r, max_n=8, max_k=4) -> bool:
-    """True iff every assignment of k-color lists admits an r-strong coloring."""
-    edges, need, _ = _constraints(h, "strong", r)
-    _check_caps(h.n, k, max_n, max_k)
-    return h.n == 0 or _all_lists_colorable(h.n, list(zip(edges, need)), k)
+    proper = [] if avoid is None else [(e, 2) for e in x.edges]
+    return _all_lists_colorable(x.n, proper + list(zip(edges, need)), k)
 
 
 def _two_choosable(g):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import choosability, coloring, constructions, experiments, io, sublists
+from . import choosability, coloring, constructions, experiments, greedy, io, sublists
 
 
 def _emit(obj):
@@ -60,9 +60,7 @@ def _cmd_solve(args):
         out["target"] = target
         out["coloring"] = c
     elif args.mode == "greedy":
-        from .greedy import greedy_r_dynamic
-
-        out["coloring"] = greedy_r_dynamic(g, lists, args.r)
+        out["coloring"] = greedy.greedy_r_dynamic(g, lists, args.r)
     else:  # lll
         sizes = {len(colors) for colors in lists}
         if len(sizes) > 1:
@@ -84,22 +82,15 @@ def _cmd_solve(args):
 
 
 def _cmd_chi(args):
-    x = _load(args)
-    if args.mode == "strong":
-        chi = coloring.hyper_chi_strong(x, args.r, max_n=args.max_n)
-    else:
-        chi = coloring.chi_exact(x, mode=args.mode, r=args.r, max_n=args.max_n)
+    chi = coloring.chi_exact(_load(args), mode=args.mode, r=args.r, max_n=args.max_n)
     _emit({"command": "chi", "mode": args.mode, "r": args.r, "chi": chi})
     return 0
 
 
 def _cmd_choosable(args):
-    x = _load(args)
-    caps = {"max_n": args.max_n, "max_k": args.max_k}
-    if args.mode == "strong":
-        ok = choosability.hyper_is_k_strong_choosable(x, args.k, args.r, **caps)
-    else:
-        ok = choosability.is_k_choosable(x, args.k, mode=args.mode, r=args.r, **caps)
+    ok = choosability.is_k_choosable(
+        _load(args), args.k, mode=args.mode, r=args.r, max_n=args.max_n, max_k=args.max_k
+    )
     _emit({"command": "choosable", "mode": args.mode, "k": args.k, "r": args.r, "choosable": ok})
     return 0
 

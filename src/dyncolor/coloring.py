@@ -13,10 +13,10 @@ Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
 (the defaults are the supported scale, not hard limits).
 
-Choosability (`is_k_choosable`, `hyper_is_k_strong_choosable`) lives in the
-`choosability` module: one forall-lists / exists-coloring search that fills
-lists in maximum-cardinality-search order and carries the set of feasible
-colorings projected onto the boundary, memoized up to color renaming.
+Choosability (`is_k_choosable`) lives in the `choosability` module: one
+forall-lists / exists-coloring search that fills lists in
+maximum-cardinality-search order and carries the set of feasible colorings
+projected onto the boundary, memoized up to color renaming.
 """
 
 from __future__ import annotations
@@ -194,28 +194,21 @@ def _least_k(x, mode, r, max_n):
     raise AssertionError("unreachable: n colors always suffice")
 
 
-def solve_list_coloring(g: Graph, lists, mode="proper", r=0):
+def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     """Find a coloring with c(v) in lists[v] meeting the mode, or None.
 
+    x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
     Exhaustive search: vertices by descending degree (ties by id), colors
-    ascending.  In dynamic mode a branch dies as soon as some vertex can no
-    longer reach min(r, d) distinct neighbor colors even if every uncolored
-    neighbor brings a fresh one; on a full assignment that test is the exact
-    dynamic condition, so accepted leaves are valid.
+    ascending.  A branch dies as soon as some edge can no longer reach its
+    need even if every uncolored member brings a fresh color; on a full
+    assignment that test is the exact condition, so accepted leaves are valid.
     """
-    return _search(g.n, *_constraints(g, mode, r), lists=_normalize_lists(g.n, lists))
+    return _search(x.n, *_constraints(x, mode, r), lists=_normalize_lists(x.n, lists))
 
 
-def chi_exact(g: Graph, mode="proper", r=0, max_n=12) -> int:
-    """Least k such that lists {1..k} everywhere admit a valid coloring."""
-    return _least_k(g, mode, r, max_n)[0]
+def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
+    """Least k such that lists {1..k} everywhere admit a valid coloring.
 
-
-def solve_strong_list_coloring(h: Hypergraph, lists, r):
-    """r-strong coloring with c(v) in lists[v], or None."""
-    return _search(h.n, *_constraints(h, "strong", r), lists=_normalize_lists(h.n, lists))
-
-
-def hyper_chi_strong(h: Hypergraph, r, max_n=12) -> int:
-    """Least k admitting an r-strong k-coloring (all-distinct always works)."""
-    return _least_k(h, "strong", r, max_n)[0]
+    x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
+    """
+    return _least_k(x, mode, r, max_n)[0]

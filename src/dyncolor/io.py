@@ -127,6 +127,8 @@ def parse_lists(text, n):
             raise ValueError(f"non-integer vertex key {key!r}") from None
         if not (0 <= v < n):
             raise ValueError(f"vertex key {v} out of range 0..{n - 1}")
+        if lists[v] is not None:
+            raise ValueError(f"vertex key {key!r} repeats vertex {v}")
         if not isinstance(colors, list) or not colors:
             raise ValueError(f"list for vertex {v} must be a nonempty array")
         for c in colors:

@@ -15,7 +15,6 @@ from dyncolor import (
     is_transversal,
     neighborhood_color_hypergraph,
     solve_list_coloring,
-    solve_strong_list_coloring,
 )
 from dyncolor.coloring import _check_r, _normalize_lists
 from dyncolor.graphs import degree_stats
@@ -155,7 +154,7 @@ def oracle_is_k_choosable(x, k, mode="proper", r=0):
 
     def solvable(lists):
         if mode == "strong":
-            return solve_strong_list_coloring(x, lists, r) is not None
+            return solve_list_coloring(x, lists, mode="strong", r=r) is not None
         color = first_fit(lists)
         if color is not None and oracle_valid(x, color, r):
             return True

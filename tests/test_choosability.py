@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dyncolor import build_graph, build_hypergraph, choosability, generate, hyper_is_k_strong_choosable, is_k_choosable
+from dyncolor import build_graph, build_hypergraph, choosability, generate, is_k_choosable
 from dyncolor.choosability import _all_lists_colorable, _orientable
 from .helpers import oracle_is_k_choosable
 
@@ -50,7 +50,7 @@ def test_is_k_choosable_matches_per_leaf_oracle(mode, r, case):
 @example(case=(build_hypergraph(3, [{0, 1}, {0, 1}, {1, 2}]), 2), r=2)
 def test_hyper_strong_choosable_matches_per_leaf_oracle(case, r):
     h, k = case
-    assert hyper_is_k_strong_choosable(h, k, r) == oracle_is_k_choosable(h, k, "strong", r)
+    assert is_k_choosable(h, k, mode="strong", r=r) == oracle_is_k_choosable(h, k, "strong", r)
 
 
 def test_bipartite_not_2_choosable_matches_per_leaf_oracle():
@@ -63,7 +63,7 @@ def test_bipartite_not_2_choosable_matches_per_leaf_oracle():
     assert is_k_choosable(k33, 2, mode="dynamic", r=1) is oracle_is_k_choosable(k33, 2, "dynamic", 1) is False
     # strong at r = 2 on a 2-uniform hypergraph is proper coloring
     h = build_hypergraph(6, [set(e) for e in k33.edges])
-    assert hyper_is_k_strong_choosable(h, 2, 2) is oracle_is_k_choosable(h, 2, "strong", 2) is False
+    assert is_k_choosable(h, 2, mode="strong", r=2) is oracle_is_k_choosable(h, 2, "strong", 2) is False
 
 
 def test_even_cycles_choosable_odd_not():
@@ -84,7 +84,7 @@ def test_relabelled_c6_same_answer():
 
 def test_choosability_depth_not_bounded_by_recursion_limit():
     # one list per vertex, 1500 deep: the search keeps its own stack
-    assert hyper_is_k_strong_choosable(build_hypergraph(1500, []), 1, 2, max_n=1500)
+    assert is_k_choosable(build_hypergraph(1500, []), 1, mode="strong", r=2, max_n=1500)
 
 
 def proper_search(g, k):

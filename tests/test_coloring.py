@@ -11,14 +11,11 @@ from dyncolor import (
     build_hypergraph,
     chi_exact,
     generate,
-    hyper_chi_strong,
-    hyper_is_k_strong_choosable,
     is_k_choosable,
     is_proper,
     is_r_dynamic,
     is_r_strong,
     solve_list_coloring,
-    solve_strong_list_coloring,
 )
 from dyncolor.coloring import _least_k
 from .helpers import (
@@ -224,7 +221,7 @@ def test_solve_list_returns_first_coloring_in_search_order(mode, r, case):
 @given(case=listed_hypergraphs())
 def test_solve_strong_returns_first_coloring_in_search_order(r, case):
     h, lists = case
-    assert solve_strong_list_coloring(h, lists, r) == oracle_first_coloring(h, lists, "strong", r)
+    assert solve_list_coloring(h, lists, mode="strong", r=r) == oracle_first_coloring(h, lists, "strong", r)
 
 
 @st.composite
@@ -262,10 +259,10 @@ def test_least_k_coloring_is_first_from_full_lists(mode, r, g):
 @given(h=small_hypergraphs())
 def test_least_k_strong_coloring_is_first_from_full_lists(r, h):
     k, coloring = _least_k(h, "strong", r, h.n)
-    assert k == hyper_chi_strong(h, r)
-    assert coloring == solve_strong_list_coloring(h, full_lists(h.n, k), r)
+    assert k == chi_exact(h, mode="strong", r=r)
+    assert coloring == solve_list_coloring(h, full_lists(h.n, k), mode="strong", r=r)
     if k > 1:
-        assert solve_strong_list_coloring(h, full_lists(h.n, k - 1), r) is None
+        assert solve_list_coloring(h, full_lists(h.n, k - 1), mode="strong", r=r) is None
 
 
 def test_solve_list_long_cycle_no_recursion_limit():
@@ -321,34 +318,36 @@ def test_choosable_guards():
 def test_hyper_chi_strong_examples():
     h = build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
     # pairwise edges force all three vertices distinct at r=2
-    assert hyper_chi_strong(h, 2) == 3
-    assert hyper_chi_strong(h, 2) == oracle_strong_chi(h, 2)
+    assert chi_exact(h, mode="strong", r=2) == 3
+    assert chi_exact(h, mode="strong", r=2) == oracle_strong_chi(h, 2)
     h2 = build_hypergraph(4, [{0, 1, 2}, {1, 2, 3}])
-    assert hyper_chi_strong(h2, 2) == 2
-    assert hyper_chi_strong(h2, 3) == 3
+    assert chi_exact(h2, mode="strong", r=2) == 2
+    assert chi_exact(h2, mode="strong", r=3) == 3
     for r in (2, 3):
-        assert hyper_chi_strong(h2, r) == oracle_strong_chi(h2, r)
+        assert chi_exact(h2, mode="strong", r=r) == oracle_strong_chi(h2, r)
 
 
 def test_hyper_chi_strong_edgeless():
     h = build_hypergraph(3, [])
-    assert hyper_chi_strong(h, 2) == 1
+    assert chi_exact(h, mode="strong", r=2) == 1
 
 
 def test_solve_strong_list_coloring():
     h = build_hypergraph(4, [{0, 1, 2}, {1, 2, 3}])
     lists = [[1], [1, 2], [1, 2], [1]]
-    c = solve_strong_list_coloring(h, lists, 2)
+    c = solve_list_coloring(h, lists, mode="strong", r=2)
     assert c is not None and is_r_strong(h, c, 2)
     assert all(c[v] in lists[v] for v in range(4))
     # shrink the middle lists and it becomes impossible
-    assert solve_strong_list_coloring(h, [[1], [1], [1], [1]], 2) is None
+    assert solve_list_coloring(h, [[1], [1], [1], [1]], mode="strong", r=2) is None
 
 
 def test_hyper_choosable():
     h = build_hypergraph(4, [{0, 1, 2}, {1, 2, 3}])
-    assert hyper_is_k_strong_choosable(h, 2, 2)
-    assert not hyper_is_k_strong_choosable(h, 1, 2)
+    assert is_k_choosable(h, 2, mode="strong", r=2)
+    assert not is_k_choosable(h, 1, mode="strong", r=2)
+    # strong mode adds no properness: at r = 1 one color meets a 3-edge
+    assert is_k_choosable(build_hypergraph(3, [{0, 1, 2}]), 1, mode="strong", r=1) is True
 
 
 @settings(max_examples=25, deadline=None)
@@ -363,12 +362,12 @@ def test_strong_chi_matches_oracle(seed):
         edges.append(set(rng.sample(range(n), size)))
     h = build_hypergraph(n, edges)
     r = rng.randint(1, 3)
-    assert hyper_chi_strong(h, r) == oracle_strong_chi(h, r)
+    assert chi_exact(h, mode="strong", r=r) == oracle_strong_chi(h, r)
 
 
 def test_solve_strong_long_path_no_recursion_limit():
     # 1500 vertices is deeper than the default recursion limit
     h = build_hypergraph(1500, [{i, i + 1} for i in range(1499)])
     lists = [[1, 2]] * 1500
-    got = solve_strong_list_coloring(h, lists, 2)
+    got = solve_list_coloring(h, lists, mode="strong", r=2)
     assert got is not None and is_r_strong(h, got, 2)

@@ -5,13 +5,13 @@ import pytest
 from dyncolor import (
     augment,
     build_hypergraph,
+    chi_exact,
     construction_report,
-    hyper_chi_strong,
     incidence_graph,
     is_r_dynamic,
     lift_coloring,
     parse_hypergraph,
-    solve_strong_list_coloring,
+    solve_list_coloring,
 )
 
 TRIANGLE = build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
@@ -77,8 +77,8 @@ def test_augment_validation():
 
 def test_lift_coloring_valid():
     aug = augment(TRIANGLE, 2, 2, seed=0)
-    strong = hyper_chi_strong(aug.hyper, 2)
-    f = solve_strong_list_coloring(aug.hyper, [range(1, strong + 1)] * aug.hyper.n, 2)
+    strong = chi_exact(aug.hyper, mode="strong", r=2)
+    f = solve_list_coloring(aug.hyper, [range(1, strong + 1)] * aug.hyper.n, mode="strong", r=2)
     lifted = lift_coloring(aug, f, (strong + 1, strong + 2))
     g, _, _ = incidence_graph(aug.hyper)
     assert is_r_dynamic(g, lifted, 2)

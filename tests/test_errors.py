@@ -14,11 +14,8 @@ from dyncolor import (
     build_hypergraph,
     chi_exact,
     generate,
-    hyper_chi_strong,
-    hyper_is_k_strong_choosable,
     is_k_choosable,
     solve_list_coloring,
-    solve_strong_list_coloring,
 )
 
 G = generate("cycle", n=5)
@@ -41,18 +38,18 @@ CASES = [
     ("solve-length", lambda: solve_list_coloring(G, SHORT, mode="dynamic", r=2), LENGTH),
     ("solve-mode-2", lambda: solve_list_coloring(G, SHORT, mode="bad", r=0), MODE),
     ("solve-r-2", lambda: solve_list_coloring(G, SHORT, mode="dynamic", r=0), R),
-    ("solve_strong-r", lambda: solve_strong_list_coloring(H, LISTS, 0), R),
-    ("solve_strong-length", lambda: solve_strong_list_coloring(H, SHORT, 2), LENGTH),
-    ("solve_strong-r-2", lambda: solve_strong_list_coloring(H, SHORT, 0), R),
+    ("solve_strong-r", lambda: solve_list_coloring(H, LISTS, mode="strong", r=0), R),
+    ("solve_strong-length", lambda: solve_list_coloring(H, SHORT, mode="strong", r=2), LENGTH),
+    ("solve_strong-r-2", lambda: solve_list_coloring(H, SHORT, mode="strong", r=0), R),
     ("chi-mode", lambda: chi_exact(G, mode="bad"), MODE),
     ("chi-strong", lambda: chi_exact(G, mode="strong", r=2), STRONG),
     ("chi-r", lambda: chi_exact(G, mode="dynamic", r=0), R),
     ("chi-n_cap", lambda: chi_exact(G, max_n=4), N_CAP),
     ("chi-mode-2", lambda: chi_exact(G, mode="bad", r=0, max_n=4), MODE),
     ("chi-r-2", lambda: chi_exact(G, mode="dynamic", r=0, max_n=4), R),
-    ("hyper_chi-r", lambda: hyper_chi_strong(H, 0), R),
-    ("hyper_chi-n_cap", lambda: hyper_chi_strong(H, 2, max_n=4), N_CAP),
-    ("hyper_chi-r-2", lambda: hyper_chi_strong(H, 0, max_n=4), R),
+    ("hyper_chi-r", lambda: chi_exact(H, mode="strong", r=0), R),
+    ("hyper_chi-n_cap", lambda: chi_exact(H, mode="strong", r=2, max_n=4), N_CAP),
+    ("hyper_chi-r-2", lambda: chi_exact(H, mode="strong", r=0, max_n=4), R),
     ("choosable-mode", lambda: is_k_choosable(G, 2, mode="bad"), MODE),
     ("choosable-strong", lambda: is_k_choosable(G, 2, mode="strong", r=2), STRONG),
     ("choosable-r", lambda: is_k_choosable(G, 2, mode="dynamic", r=0), R),
@@ -63,13 +60,13 @@ CASES = [
     ("choosable-r-2", lambda: is_k_choosable(G, 0, mode="dynamic", r=0, max_n=4, max_k=-1), R),
     ("choosable-k_low-2", lambda: is_k_choosable(G, 0, max_n=4, max_k=-1), K_LOW),
     ("choosable-n_cap-2", lambda: is_k_choosable(G, 5, max_n=4), N_CAP),
-    ("hyper_choosable-r", lambda: hyper_is_k_strong_choosable(H, 2, 0), R),
-    ("hyper_choosable-n_cap", lambda: hyper_is_k_strong_choosable(H, 2, 2, max_n=4), N_CAP),
-    ("hyper_choosable-k_low", lambda: hyper_is_k_strong_choosable(H, 0, 2), K_LOW),
-    ("hyper_choosable-k_cap", lambda: hyper_is_k_strong_choosable(H, 5, 2), K_CAP),
-    ("hyper_choosable-r-2", lambda: hyper_is_k_strong_choosable(H, 0, 0, max_n=4, max_k=-1), R),
-    ("hyper_choosable-k_low-2", lambda: hyper_is_k_strong_choosable(H, 0, 2, max_n=4, max_k=-1), K_LOW),
-    ("hyper_choosable-n_cap-2", lambda: hyper_is_k_strong_choosable(H, 5, 2, max_n=4), N_CAP),
+    ("hyper_choosable-r", lambda: is_k_choosable(H, 2, mode="strong", r=0), R),
+    ("hyper_choosable-n_cap", lambda: is_k_choosable(H, 2, mode="strong", r=2, max_n=4), N_CAP),
+    ("hyper_choosable-k_low", lambda: is_k_choosable(H, 0, mode="strong", r=2), K_LOW),
+    ("hyper_choosable-k_cap", lambda: is_k_choosable(H, 5, mode="strong", r=2), K_CAP),
+    ("hyper_choosable-r-2", lambda: is_k_choosable(H, 0, mode="strong", r=0, max_n=4, max_k=-1), R),
+    ("hyper_choosable-k_low-2", lambda: is_k_choosable(H, 0, mode="strong", r=2, max_n=4, max_k=-1), K_LOW),
+    ("hyper_choosable-n_cap-2", lambda: is_k_choosable(H, 5, mode="strong", r=2, max_n=4), N_CAP),
 ]
 
 

@@ -86,6 +86,9 @@ def test_parse_lists():
         parse_lists('{"0": [true], "1": [1]}', n=2)
     with pytest.raises(ValueError):
         parse_lists('[1, 2]', n=2)
+    # "01" names vertex 1 again; the later list must not replace the first
+    with pytest.raises(ValueError, match="vertex key '01' repeats vertex 1"):
+        parse_lists('{"1": [1], "01": [2], "0": [3]}', n=2)
 
 
 def test_lists_round_trip():
