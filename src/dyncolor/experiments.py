@@ -46,7 +46,9 @@ def experiment_random_graphs(
     the model.  Modes: "greedy" colors with fresh random lists of size
     r*maxdeg+1 and validates; "lll" runs the sublist pipeline with sublist
     size maxdeg+1 by default (slack defaults to r-1) and records the status
-    and iteration count; "exact" computes the r-dynamic and proper chromatic
+    and iteration count, with the sublist seed drawn after the lists from
+    the trial's list stream (earlier versions reused the list seed, so their
+    lll reports differ); "exact" computes the r-dynamic and proper chromatic
     numbers (n capped by max_n).
     """
     if trials < 0:
@@ -105,8 +107,10 @@ def experiment_random_graphs(
                 sl = slack if slack is not None else r - 1
                 base = sub + sl + r - 2
                 lists = random_list_assignment(g.n, base, 2 * base, rng)
+                # drawn after the lists, not from master, so the sublists are
+                # independent of the lists and later trials keep their seeds
                 result = dynamic_coloring_via_sublists(
-                    g, lists, sub, r, seed=list_seed, max_iters=max_iters
+                    g, lists, sub, r, seed=rng.randrange(2**32), max_iters=max_iters
                 )
                 rec["sublist_size"] = sub
                 rec["base_list_size"] = base

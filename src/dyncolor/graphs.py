@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ def build_graph(n, edge_list) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        seen.add((min(u, v), max(u, v)))
+        seen.add((u, v) if u < v else (v, u))
     edges = tuple(sorted(seen))
     nbrs = [set() for _ in range(n)]
     for u, v in edges:
@@ -115,7 +116,12 @@ def generate(kind, seed=0, **params) -> Graph:
     - "cycle": n            cycle on n >= 3 vertices
     - "complete": n         K_n
     - "complete_bipartite": a, b
-    - "gnp": n, p           each pair kept independently with probability p
+    - "gnp": n, p           each pair kept independently with probability p,
+                              by the geometric-skip walk of Batagelj and
+                              Brandes (2005): one draw per kept edge plus one,
+                              so O(n + m).  The walk replaced a draw per pair,
+                              so seeded graphs, and the experiment reports
+                              built on them, differ from versions before it.
     - "random_regular": n, d  round-wise pairing of the n*d stubs (Steger and
                               Wormald 1999): each round shuffles the unpaired
                               stubs and keeps every pair that is no loop and
@@ -148,8 +154,27 @@ def generate(kind, seed=0, **params) -> Graph:
         n, p = params["n"], params["p"]
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        rand = rng.random
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rand() < p])
+        if p == 1:
+            return generate("complete", n=n)
+        edges = []
+        if p:
+            # walk the pairs (w, v), w < v, in (v, w) order; each draw skips
+            # a geometric number of pairs and keeps the one it lands on
+            rand, log, lq = rng.random, math.log, math.log1p(-p)
+            cap = n * (n - 1) // 2  # a skip this long passes the last pair
+            v, w = 1, -1
+            while True:
+                skip = log(1.0 - rand()) / lq  # may be inf when p is tiny
+                if skip >= cap:
+                    break
+                w += 1 + int(skip)
+                while w >= v:
+                    w -= v
+                    v += 1
+                if v >= n:
+                    break
+                edges.append((w, v))
+        return build_graph(n, edges)
     return _random_regular(params["n"], params["d"], rng)
 
 

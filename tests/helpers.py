@@ -7,6 +7,7 @@ checkers) so that frozen expected values rest on an independent code path.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from dyncolor import (
@@ -188,9 +189,35 @@ def oracle_strong_chi(h, r):
 
 
 def oracle_gnp(n, p, seed):
-    """G(n, p) as first written: one rng.random() < p per pair, in (i, j) order."""
+    """G(n, p) as first written: one rng.random() < p per pair, in (i, j) order.
+
+    generate("gnp") drew this stream before it walked by geometric skips;
+    graphs named by their old seed, such as the choosability probe
+    gnp(n=8, p=0.45, seed=13), are oracle_gnp(8, 0.45, 13) now.
+    """
     rng = random.Random(seed)
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def oracle_gnp_skip(n, p, seed):
+    """G(n, p) by geometric skips over the explicit pair list, by flat index.
+
+    The pairs (w, v), w < v, are listed in (v, w) order; each rng.random()
+    U moves the index on by 1 + floor(log(1 - U) / log1p(-p)) and keeps the
+    pair it lands on.  generate("gnp") walks the same pairs row by row.
+    """
+    pairs = [(w, v) for v in range(n) for w in range(v)]
+    if p == 1:
+        return build_graph(n, pairs)
+    rng = random.Random(seed)
+    edges = []
+    i = -1
+    while p:
+        i += 1 + int(min(math.log(1 - rng.random()) / math.log1p(-p), len(pairs)))
+        if i >= len(pairs):
+            break
+        edges.append(pairs[i])
+    return build_graph(n, edges)
 
 
 def bipartite_regular(side, d, seed):

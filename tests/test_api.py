@@ -27,30 +27,22 @@ def test_public_names_are_pinned():
         "bad_event_bound",
         "bad_event_holds",
         "bipartition",
-        "bounds",
         "bounds_report",
         "build_graph",
         "build_hypergraph",
         "candidate_family",
         "chi_exact",
-        "choosability",
-        "coloring",
         "construction_report",
-        "constructions",
         "default_max_iters",
         "degeneracy",
         "degree_stats",
         "dynamic_coloring_via_sublists",
         "experiment_random_graphs",
-        "experiments",
         "fixed_set_hits_all_bound",
         "generate",
-        "graphs",
-        "greedy",
         "greedy_r_dynamic",
         "has_small_transversal",
         "incidence_graph",
-        "io",
         "is_bipartite",
         "is_k_choosable",
         "is_k_degenerate",
@@ -75,9 +67,14 @@ def test_public_names_are_pinned():
         "solve_list_coloring",
         "sublist_condition_holds",
         "sublist_condition_lhs",
-        "sublists",
-        "transversal",
     ]
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from dyncolor import *", namespace)
+    assert "io" not in namespace  # would shadow the standard library's io
+    assert set(namespace) - {"__builtins__"} == set(dyncolor.__all__)
 
 
 def tour_source():

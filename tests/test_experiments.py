@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from dyncolor import experiment_random_graphs, random_list_assignment
+from dyncolor import experiment_random_graphs, random_list_assignment, sample_sublists
+from dyncolor import experiments
 
 
 def test_random_list_assignment():
@@ -48,6 +49,32 @@ def test_lll_mode():
         assert rec["status"] in {"ok", "cap_reached", "list_coloring_failed"}
         assert rec["valid"] == (rec["status"] == "ok")
     assert rep["summary"]["ok"] == sum(1 for rec in run if rec["status"] == "ok")
+
+
+def test_lll_sublist_seed_follows_the_lists(monkeypatch):
+    # the sublist seed is drawn from the trial's list stream after the lists:
+    # the sublists no longer replay Random(list_seed)'s first draws, and the
+    # master stream, so every later trial's graph and list seed, is untouched
+    seen = []
+    real = experiments.dynamic_coloring_via_sublists
+
+    def spy(g, lists, sub, r, seed, max_iters=None):
+        seen.append((lists, sub, seed))
+        return real(g, lists, sub, r, seed=seed, max_iters=max_iters)
+
+    monkeypatch.setattr(experiments, "dynamic_coloring_via_sublists", spy)
+    rep = experiment_random_graphs(20, 2, trials=3, seed=5, mode="lll", d=3)
+    assert len(seen) == 3
+    master = random.Random(5)
+    for rec, (lists, sub, seed) in zip(rep["trials"], seen):
+        graph_seed, list_seed = master.randrange(2**32), master.randrange(2**32)
+        assert rec["graph_seed"] == graph_seed
+        base = rec["base_list_size"]
+        rng = random.Random(list_seed)
+        assert lists == random_list_assignment(20, base, 2 * base, rng)
+        assert seed == rng.randrange(2**32) != list_seed
+        drawn = sample_sublists(lists, sub, seed, r=2).sublists
+        assert drawn != sample_sublists(lists, sub, list_seed, r=2).sublists
 
 
 def test_lll_mode_skips_low_degree():
@@ -109,4 +136,4 @@ def test_reports_frozen():
         experiment_random_graphs(12, 2, trials=3, seed=6, mode="lll", p=0.6, sublist_size=4, max_iters=200),
     ]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == "badddbde77c227fad0c58fc287e1bd7682b2e8f0ee1311d84125b016b144e7a7"
+    assert digest == "e1d3eb4b80d2a965aaeef20de0c591f8ab1073ede11d1a71b8c5df316255a6af"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +20,9 @@ from dyncolor import (
     is_k_degenerate,
     neighborhood_hypergraph,
 )
+from dyncolor import graphs as graphs_module
 
-from .helpers import oracle_gnp
+from .helpers import oracle_gnp, oracle_gnp_skip
 
 
 @st.composite
@@ -91,14 +95,68 @@ def test_generate_random_regular():
         generate("random_regular", seed=0, n=4, d=4)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=0, max_value=40),
-    st.sampled_from([0, 0.1, 0.5, 1, 1.0]),
+    st.sampled_from([0, 5e-324, 1e-9, 0.1, 0.5, 1 - 1e-12, 1, 1.0]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_gnp_matches_per_pair_oracle(n, p, seed):
-    assert generate("gnp", seed=seed, n=n, p=p) == oracle_gnp(n, p, seed)
+def test_gnp_matches_skip_oracle(n, p, seed):
+    assert generate("gnp", seed=seed, n=n, p=p) == oracle_gnp_skip(n, p, seed)
+
+
+def test_gnp_draws_once_per_kept_edge(monkeypatch):
+    calls = []
+
+    class CountingRandom(random.Random):
+        def random(self):
+            calls.append(None)
+            return super().random()
+
+    monkeypatch.setattr(graphs_module.random, "Random", CountingRandom)
+    g = generate("gnp", seed=0, n=2000, p=0.005)
+    assert 0 < len(calls) <= g.m + 1
+    for p, m in [(0, 0), (0.0, 0), (1, 780), (1.0, 780)]:
+        calls.clear()
+        assert generate("gnp", seed=0, n=40, p=p).m == m
+        assert not calls
+    # a skip past the last pair ends the walk; none overflows int()
+    for p in [5e-324, 1e-300, 1e-12]:
+        calls.clear()
+        assert generate("gnp", seed=0, n=2000, p=p).m == 0
+        assert len(calls) == 1
+
+
+def test_gnp_pair_frequencies_near_p():
+    # 200 fixed seeds at n = 12, p = 0.3: a pair's frequency has standard
+    # deviation 0.032 and the mean edge count (19.8 expected) 0.26, so the
+    # bounds below sit at about 4.5 and 4 standard deviations
+    n, p, seeds = 12, 0.3, 200
+    counts = dict.fromkeys(itertools.combinations(range(n), 2), 0)
+    total = 0
+    for seed in range(seeds):
+        g = generate("gnp", seed=seed, n=n, p=p)
+        total += g.m
+        for e in g.edges:
+            counts[e] += 1
+    assert all(abs(c / seeds - p) <= 0.15 for c in counts.values())
+    assert abs(total / seeds - p * len(counts)) <= 1.05
+
+
+def test_old_gnp_stream_kept_as_oracle():
+    # graphs named by their seed before the skip walk, such as the
+    # choosability probe gnp(n=8, p=0.45, seed=13), are rebuilt by oracle_gnp
+    g = oracle_gnp(8, 0.45, 13)
+    assert g.m == 13 and degeneracy(g) == 3 and not is_bipartite(g)
+
+
+def test_gnp_seeded_graphs_frozen():
+    # pins the draw stream, math.log included, on every Python that runs this
+    cases = [(2000, 0.005, s) for s in range(3)] + [(40, 0.1, 7), (30, 0.5, 8), (25, 1 - 1e-12, 9)]
+    seeded = [generate("gnp", seed=s, n=n, p=p) for n, p, s in cases]
+    assert [degree_stats(g).max_degree for g in seeded[:3]] == [21, 23, 22]
+    blob = json.dumps([[g.n, g.edges] for g in seeded]).encode()
+    assert hashlib.sha256(blob).hexdigest() == "10b855bd9f5b5c7d0f98911d4f8c44334be933283d956c98c21e24ccf08c3049"
 
 
 @pytest.mark.parametrize(
