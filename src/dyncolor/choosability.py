@@ -1,23 +1,27 @@
-"""Exact choosability: polynomial certificates, then one forall-lists /
-exists-coloring search.
+"""Exact choosability: the k-core, polynomial certificates, then one
+forall-lists / exists-coloring search.
 
 A graph is k-choosable when every assignment of k-color lists admits a
-valid coloring.  In proper mode only, `is_k_choosable` first tries three
-exact certificates, in this order:
+valid coloring.  In proper mode only, `is_k_choosable` decides in this
+order:
 
-- degeneracy: a d-degenerate graph is (d+1)-choosable, so k > d is True;
-- at k = 2, Erdos, Rubin and Taylor (1979, "Choosability in graphs"): a
-  graph is 2-choosable iff its core is a union of even cycles and
-  theta_{2,2,2m} graphs, True or False;
-- on a bipartite graph, Alon and Tarsi (1992, "Colorings and orientations
-  of graphs"): every Eulerian subgraph has an even number of edges, so an
-  orientation with every out-degree below k makes it k-choosable.
+- the k-core, what is left after deleting vertices of degree below k over
+  and over: such a vertex can always be colored last (Erdos, Rubin and
+  Taylor, 1979, "Choosability in graphs"), so the graph is k-choosable iff
+  each component of its core is.  An empty core, k > degeneracy, is True;
+- per component at k = 2, Erdos-Rubin-Taylor: a connected 2-core is
+  2-choosable iff it is an even cycle or theta_{2,2,2m}, True or False;
+- per bipartite component, Alon and Tarsi (1992, "Colorings and
+  orientations of graphs"): every Eulerian subgraph has an even number of
+  edges, so an orientation with every out-degree below k makes it
+  k-choosable.
 
-Dynamic mode, strong mode and every proper case the certificates leave open
-go to the search.  The search sees hyperedges that each need some number of
-distinct colors: the mode's constraints from `coloring._constraints`, plus,
-on a graph, each edge as a hyperedge of its two ends with need 2 (which is
-properness; needs below 2 hold on any coloring and are dropped).
+Dynamic mode, strong mode and every proper component the certificates leave
+open go to the search.  The search sees hyperedges that each need some
+number of distinct colors: the mode's constraints from
+`coloring._constraints`, plus, on a graph, each edge as a hyperedge of its
+two ends with need 2 (which is properness; needs below 2 hold on any
+coloring and are dropped).
 
 Lists are filled one vertex at a time in a maximum-cardinality-search order:
 next is the unfilled vertex with the most filled neighbors (vertices sharing
@@ -41,7 +45,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import _check_cap, _constraints
-from .graphs import Graph, Hypergraph, bipartition, degeneracy
+from .graphs import Graph, Hypergraph, bipartition, build_graph
 
 MET = None  # the status of a hyperedge that already has its need
 
@@ -60,29 +64,15 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
     if x.n == 0:
         return True
     if mode == "proper":
-        if k > degeneracy(x):
-            # first-fit in reverse peeling order: each vertex meets at most
-            # degeneracy colored neighbors
-            return True
-        if k == 2:
-            return _two_choosable(x)
-        if bipartition(x) is not None and _orientable(x, k - 1):
-            return True
+        return all(_core_choosable(c, k) for c in _core_components(x, k))
     proper = [] if avoid is None else [(e, 2) for e in x.edges]
     return _all_lists_colorable(x.n, proper + list(zip(edges, need)), k)
 
 
-def _two_choosable(g):
-    """Erdos-Rubin-Taylor: True iff every component of g's core is an even
-    cycle or theta_{2,2,2m}.
-
-    The core is what is left after deleting vertices of degree <= 1 over and
-    over.  A core component whose only vertices of degree above 2 are two
-    degree-3 hubs with two common neighbors is theta_{2,2,L} on L + 3
-    vertices, so L is even exactly when the component has odd order.
-    """
+def _core_components(g, k):
+    """The connected components of g's k-core, each relabelled 0..n'-1."""
     core = set(range(g.n))
-    while low := {v for v in core if len(g.adj[v] & core) < 2}:
+    while low := {v for v in core if len(g.adj[v] & core) < k}:
         core -= low
     while core:
         comp, todo = set(), [core.pop()]
@@ -90,16 +80,25 @@ def _two_choosable(g):
             comp.add(v := todo.pop())
             todo += g.adj[v] & core
             core -= g.adj[v]
-        deg = {v: len(g.adj[v] & comp) for v in comp}
-        hubs = [v for v in comp if deg[v] > 2]
-        if hubs:
-            ok = len(hubs) == 2 and deg[hubs[0]] == deg[hubs[1]] == 3 and len(comp) % 2 == 1
-            ok = ok and len(g.adj[hubs[0]] & g.adj[hubs[1]]) >= 2
-        else:
-            ok = len(comp) % 2 == 0
-        if not ok:
-            return False
-    return True
+        name = {v: i for i, v in enumerate(sorted(comp))}
+        yield build_graph(len(comp), [(name[u], name[w]) for u in comp for w in g.adj[u] & comp])
+
+
+def _core_choosable(c, k):
+    """True iff c, one connected component of a k-core, is k-choosable."""
+    if k == 2:
+        # Erdos-Rubin-Taylor: an even cycle or theta_{2,2,2m}.  A core whose
+        # only vertices of degree above 2 are two degree-3 hubs with two
+        # common neighbors is theta_{2,2,L} on L + 3 vertices, so L is even
+        # exactly when c has odd order.
+        hubs = [v for v in range(c.n) if c.degree(v) > 2]
+        if not hubs:
+            return c.n % 2 == 0
+        ok = len(hubs) == 2 and c.degree(hubs[0]) == c.degree(hubs[1]) == 3 and c.n % 2 == 1
+        return ok and len(c.adj[hubs[0]] & c.adj[hubs[1]]) >= 2
+    if bipartition(c) is not None and _orientable(c, k - 1):
+        return True
+    return _all_lists_colorable(c.n, [(e, 2) for e in c.edges], k)
 
 
 def _orientable(g, cap):

@@ -151,10 +151,17 @@ def neighborhood_color_hypergraph(g: Graph, assignment, v) -> Hypergraph:
     return Hypergraph(n=top + 1, edges=tuple(edges))
 
 
-def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
-    """True when fewer than r colors can meet every neighbor sublist of v."""
+def _check_state(g, state):
+    """The state is armed with r and holds one sublist per vertex of g."""
     if state.r is None:
         raise ValueError("state has no r; sample with r= to enable event checks")
+    if len(state.sublists) != g.n:
+        raise ValueError(f"list assignment has {len(state.sublists)} entries for {g.n} vertices")
+
+
+def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
+    """True when fewer than r colors can meet every neighbor sublist of v."""
+    _check_state(g, state)
     if g.degree(v) < state.r:
         raise ValueError(f"vertex {v} has degree {g.degree(v)} < r = {state.r}")
     return _hit_by_at_most([frozenset(state.sublists[w]) for w in g.adj[v]], state.r - 1)
@@ -179,8 +186,7 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
     max_iters resamples, "cap_reached".  Returns (state, log); the state is
     updated in place.
     """
-    if state.r is None:
-        raise ValueError("state has no r; sample with r= to enable event checks")
+    _check_state(g, state)
     r = state.r
     if max_iters is None:
         max_iters = default_max_iters(g, r)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dyncolor import build_graph, build_hypergraph, choosability, generate, is_k_choosable
 from dyncolor.choosability import _all_lists_colorable, _orientable
-from .helpers import oracle_is_k_choosable
+from .helpers import oracle_gnp, oracle_is_k_choosable
 
 
 def list_size(draw, n):
@@ -210,6 +210,69 @@ def test_uncertified_cases_reach_the_search(searches):
     # the certificates are proper-mode only; dynamic r=1 is proper coloring
     assert is_k_choosable(cycle(8), 2, mode="dynamic", r=1)
     assert searches == [4, 8]
+
+
+def test_low_degree_vertices_stay_out_of_the_search(searches):
+    # K_4 plus a pendant vertex: the pendant is peeled off the 3-core
+    g = build_graph(5, list(generate("complete", n=4).edges) + [(3, 4)])
+    assert not is_k_choosable(g, 3)
+    assert searches == [4]
+
+
+def test_search_runs_on_the_3_core_alone(searches):
+    # 8 vertices and 13 edges, not bipartite; its 3-core has 5 vertices and
+    # 8 edges.  The search on all 8 vertices runs for minutes.
+    assert is_k_choosable(oracle_gnp(8, 0.45, 13), 3) is True
+    assert searches == [5]
+
+
+@st.composite
+def low_degree_extensions(draw):
+    """(g, g plus 1-2 vertices each joined to fewer than k vertices before it, k)."""
+    g, _ = draw(small_graphs())
+    k = draw(st.sampled_from([2, 3]))
+    n, edges = g.n, list(g.edges)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        nbrs = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, max_size=k - 1)) if n else []
+        edges += [(u, n) for u in nbrs]
+        n += 1
+    return g, build_graph(n, edges), k
+
+
+def connected(g):
+    seen, todo = {0}, [0]
+    while todo:
+        for w in g.adj[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return len(seen) == g.n
+
+
+K4 = generate("complete", n=4)
+K5_MINUS_EDGE = build_graph(5, [e for e in generate("complete", n=5).edges if e != (0, 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=low_degree_extensions())
+# random edge sets on 5 vertices seldom have a 3-core, so two cases that
+# reach the search are pinned
+@example(case=(K4, build_graph(6, list(K4.edges) + [(0, 4), (1, 4), (4, 5)]), 3))
+@example(case=(K5_MINUS_EDGE, build_graph(6, list(K5_MINUS_EDGE.edges) + [(0, 5), (1, 5)]), 3))
+def test_vertices_of_degree_below_k_change_nothing(case):
+    # Erdos-Rubin-Taylor: a vertex of degree below k can always be colored
+    # last, so only the components of the k-core reach the search
+    g, bigger, k = case
+    seen = []
+
+    def spy(n, needs, k):
+        seen.append(build_graph(n, [tuple(e) for e, _ in needs]))
+        return _all_lists_colorable(n, needs, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(choosability, "_all_lists_colorable", spy)
+        assert is_k_choosable(bigger, k) is is_k_choosable(g, k)
+    for c in seen:
+        assert connected(c) and min(len(a) for a in c.adj) >= k
 
 
 @settings(max_examples=100, deadline=None)

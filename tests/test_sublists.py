@@ -212,6 +212,19 @@ def test_resample_requires_r():
         resample_until_clear(g, state)
 
 
+@pytest.mark.parametrize("count", [4, 6])
+def test_bad_event_checks_sublist_count(count):
+    # sample_sublists sizes the state by its lists and never sees the graph
+    g = generate("cycle", n=5)
+    state = sample_sublists([[1, 2, 3, 4]] * count, 2, seed=0, r=2)
+    message = f"^list assignment has {count} entries for 5 vertices$"
+    with pytest.raises(ValueError, match=message):
+        resample_until_clear(g, state)
+    with pytest.raises(ValueError, match=message):
+        bad_event_holds(g, state, 0)
+    assert state.draws == count
+
+
 def test_resample_benchmark_regular_bipartite():
     # 8-regular bipartite graphs on 32 vertices, 7-color lists, 4-color
     # sublists: all 50 frozen instances clear, none needing more than one
