@@ -13,8 +13,11 @@ The resampling loop follows Moser and Tardos: the bad event at v reads only
 the sublists of N(v), so after redrawing the sublists of N(c) it rechecks
 just the vertices within distance 2 of c and keeps the set of bad vertices
 up to date.  Each check decides "fewer than r colors meet every neighbor
-sublist" directly by a depth-bounded hitting-set search; the candidate
-family of the transversal module is not built on this path.
+sublist" directly by the transversal module's depth-bounded hitting-set
+search, on one int bitset per sublist: each color gets a bit of its own the
+first time a sublist holds it, so colors may be any orderable values, and
+only the masks of redrawn sublists are rebuilt.  The candidate family of the
+transversal module is not built on this path.
 """
 
 from __future__ import annotations
@@ -138,16 +141,29 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     )
 
 
+def _check_vertex(g, v):
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+
+
+def _check_count(g, lists):
+    if len(lists) != g.n:
+        raise ValueError(f"list assignment has {len(lists)} entries for {g.n} vertices")
+
+
 def neighborhood_color_hypergraph(g: Graph, assignment, v) -> Hypergraph:
     """Hypergraph whose edges are the color lists of v's neighbors.
 
-    Vertex ids are the color values themselves (universe 0..max color), one
-    edge per neighbor in ascending neighbor order, duplicates kept.
+    Vertex ids are the color values themselves (universe 0..max color, 0
+    when every list is empty), one edge per neighbor in ascending neighbor
+    order, duplicates kept.
     """
+    _check_count(g, assignment)
+    _check_vertex(g, v)
     if g.degree(v) == 0:
         raise ValueError(f"vertex {v} is isolated; neighborhood hypergraph undefined")
     edges = [frozenset(assignment[w]) for w in sorted(g.adj[v])]
-    top = max(max(e) for e in edges)
+    top = max((max(e) for e in edges if e), default=-1)
     return Hypergraph(n=top + 1, edges=tuple(edges))
 
 
@@ -155,16 +171,29 @@ def _check_state(g, state):
     """The state is armed with r and holds one sublist per vertex of g."""
     if state.r is None:
         raise ValueError("state has no r; sample with r= to enable event checks")
-    if len(state.sublists) != g.n:
-        raise ValueError(f"list assignment has {len(state.sublists)} entries for {g.n} vertices")
+    _check_count(g, state.sublists)
+
+
+def _mask(colors, bits) -> int:
+    """colors as an int bitset, with bits mapping each color to its bit.
+
+    A color seen for the first time gets the next free bit, so colors may be
+    any hashable values and no mask depends on what they are.
+    """
+    mask = 0
+    for c in colors:
+        mask |= bits.setdefault(c, 1 << len(bits))
+    return mask
 
 
 def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
     """True when fewer than r colors can meet every neighbor sublist of v."""
     _check_state(g, state)
+    _check_vertex(g, v)
     if g.degree(v) < state.r:
         raise ValueError(f"vertex {v} has degree {g.degree(v)} < r = {state.r}")
-    return _hit_by_at_most([frozenset(state.sublists[w]) for w in g.adj[v]], state.r - 1)
+    bits = {}
+    return _hit_by_at_most([_mask(state.sublists[w], bits) for w in g.adj[v]], state.r - 1)
 
 
 def default_max_iters(g: Graph, r) -> int:
@@ -192,10 +221,11 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         max_iters = default_max_iters(g, r)
     adj = g.adj
     eligible = [g.degree(v) >= r for v in range(g.n)]
-    sets = [frozenset(sub) for sub in state.sublists]
+    bits = {}
+    masks = [_mask(sub, bits) for sub in state.sublists]
 
     def bad(v):
-        return _hit_by_at_most([sets[w] for w in adj[v]], r - 1)
+        return _hit_by_at_most([masks[w] for w in adj[v]], r - 1)
 
     violated = {v for v in range(g.n) if eligible[v] and bad(v)}
     sweeps = []
@@ -213,7 +243,7 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         for w in sorted(adj[centre]):
             sub = _sorted_sample(state.rng, state.base[w], state.sublist_size)
             state.sublists[w] = sub
-            sets[w] = frozenset(sub)
+            masks[w] = _mask(sub, bits)
             state.draws += 1
             touched |= adj[w]
         for v in touched:

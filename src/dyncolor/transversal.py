@@ -3,7 +3,10 @@
 A transversal is a vertex set meeting every edge.  has_small_transversal
 decides whether one of size at most r exists, on any hypergraph, with
 _hit_by_at_most: a depth-bounded search that branches on a smallest edge and
-stops at the first transversal (the sublist bad-event check uses it too).
+stops at the first transversal.  The search reads each edge as a Python int
+used as a bitset (vertex v is bit 1 << v here; the sublist bad-event check
+gives each color a bit of its own), so dropping the edges a pick meets and
+intersecting the rest are single int operations.
 
 candidate_family, the paper's constructive object and the tests' reference,
 builds for a target size r at most k^r size-r sets (k = largest edge) such
@@ -75,27 +78,45 @@ def candidate_family(h: Hypergraph, r) -> CandidateFamily:
     return CandidateFamily(r=r, sets=ordered)
 
 
-def _hit_by_at_most(edges, k) -> bool:
-    """True when at most k elements meet every set in edges (frozensets).
+def _hit_by_at_most(masks, k) -> bool:
+    """True when at most k bits meet every mask in masks (ints as bitsets).
 
-    The d-Hitting-Set search tree: some element of a smallest edge must be
-    picked, so branch on each of them and drop the edges it meets.  Depth is
-    at most k and the search stops at the first transversal found; no
-    candidate family is built.
+    The d-Hitting-Set search tree: some bit of a smallest mask must be
+    picked, so branch on each of them and drop the masks it meets.  One pick
+    left means the remaining masks share a bit, so the last level is a
+    running AND, inlined at k = 2, where it stops as soon as the AND is 0.
+    Depth is at most k and the search stops at the first transversal found;
+    no candidate family is built.  An empty mask (0) is met by nothing.
     """
-    if not edges:
+    if not masks:
         return True
     if k == 0:
         return False
     if k == 1:
-        return bool(frozenset.intersection(*edges))
-    smallest = min(edges, key=len)
-    return any(
-        _hit_by_at_most([e for e in edges if x not in e], k - 1) for x in smallest
-    )
+        common = -1
+        for m in masks:
+            common &= m
+        return common != 0
+    smallest = min(masks, key=int.bit_count)
+    while smallest:
+        bit = smallest & -smallest
+        smallest ^= bit
+        if k > 2:
+            if _hit_by_at_most([m for m in masks if not m & bit], k - 1):
+                return True
+            continue
+        common = -1
+        for m in masks:
+            if not m & bit:
+                common &= m
+                if not common:
+                    break
+        if common:
+            return True
+    return False
 
 
 def has_small_transversal(h: Hypergraph, r) -> bool:
     """Decide whether a transversal of size at most r exists, on any hypergraph."""
     _check_r(r, 0)
-    return _hit_by_at_most(list(h.edges), r)
+    return _hit_by_at_most([sum(1 << v for v in e) for e in h.edges], r)

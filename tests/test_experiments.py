@@ -137,3 +137,18 @@ def test_reports_frozen():
     ]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "e1d3eb4b80d2a965aaeef20de0c591f8ab1073ede11d1a71b8c5df316255a6af"
+
+
+def test_reports_frozen_dense_lll():
+    # lll reports on 8-regular graphs at r = 3 and r = 4, where the bad event
+    # asks for two or three colors meeting every neighbor sublist; trials end
+    # both "ok" and "cap_reached"
+    reports = [
+        experiment_random_graphs(40, 3, trials=3, seed=1, mode="lll", d=8, slack=14, max_iters=100),
+        experiment_random_graphs(24, 4, trials=2, seed=1, mode="lll", d=8, sublist_size=4, slack=10, max_iters=30),
+        experiment_random_graphs(24, 4, trials=2, seed=1, mode="lll", d=8, sublist_size=3, slack=10, max_iters=30),
+    ]
+    statuses = [[t["status"] for t in rep["trials"]] for rep in reports]
+    assert statuses == [["cap_reached", "ok", "ok"], ["cap_reached"] * 2, ["ok"] * 2]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "50748a4889372ed61396ecdeaf3f3348e551eb4d2870a1de9e253afefa28f78f"

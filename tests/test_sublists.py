@@ -138,6 +138,37 @@ def test_neighborhood_color_hypergraph():
         neighborhood_color_hypergraph(build_graph(2, []), [(1,), (2,)], 0)
 
 
+@pytest.mark.parametrize("v", [-1, 4])
+def test_event_machinery_rejects_vertices_out_of_range(v):
+    # a negative v would otherwise answer for vertex n + v, and v >= n would
+    # raise a bare IndexError
+    g = generate("cycle", n=4)
+    state = sample_sublists([[1, 2, 3]] * 4, 2, seed=0, r=2)
+    message = f"^vertex {v} out of range 0..3$"
+    with pytest.raises(ValueError, match=message):
+        bad_event_holds(g, state, v)
+    with pytest.raises(ValueError, match=message):
+        neighborhood_color_hypergraph(g, state.sublists, v)
+
+
+def test_neighborhood_color_hypergraph_checks_the_assignment():
+    g = generate("cycle", n=4)
+    with pytest.raises(ValueError, match="^list assignment has 3 entries for 4 vertices$"):
+        neighborhood_color_hypergraph(g, [(1, 2)] * 3, 0)
+
+
+def test_neighborhood_color_hypergraph_empty_lists():
+    # empty edges take no part in the universe; with no nonempty edge it is
+    # empty too
+    g = generate("cycle", n=4)
+    h = neighborhood_color_hypergraph(g, [(), (), (5,), ()], 1)
+    assert h.edges == (frozenset(), frozenset({5}))
+    assert h.n == 6
+    h = neighborhood_color_hypergraph(g, [()] * 4, 0)
+    assert h.edges == (frozenset(), frozenset())
+    assert h.n == 0
+
+
 def test_bad_event_holds_hand_cases():
     g = generate("cycle", n=4)
     base = [[1, 2, 3]] * 4
@@ -367,6 +398,36 @@ def test_pipeline_ok_colorings_are_valid(seed):
         assert is_proper(g, res.coloring)
         assert is_r_dynamic(g, res.coloring, 2)
         assert all(res.coloring[v] in lists[v] for v in range(g.n))
+
+
+# strictly increasing relabellings: sorted lists keep their order, so every
+# draw picks the same positions
+RELABELS = [lambda c: 10**12 + 3 * c, lambda c: c - 50, lambda c: f"{c:04d}"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(RELABELS),
+)
+def test_pipeline_ignores_color_values(seed, r, relabel):
+    # the bad event gives each color a bit of its own, never one derived from
+    # the color's value, so the log is the same and the coloring relabelled
+    rng = random.Random(seed)
+    g = generate("random_regular", n=rng.choice([10, 12, 14]), d=rng.randint(r, r + 2), seed=seed)
+    sublist_size = rng.randint(2, 4)
+    size = sublist_size + 2 * r - 3
+    lists = random_lists(g.n, size, range(1, rng.randint(size + 1, 3 * size)), rng)
+    want = dynamic_coloring_via_sublists(g, lists, sublist_size, r, seed, max_iters=30)
+    relabelled = [[relabel(c) for c in t] for t in lists]
+    got = dynamic_coloring_via_sublists(g, relabelled, sublist_size, r, seed, max_iters=30)
+    assert got.log == want.log
+    assert got.status == want.status
+    if want.coloring is None:
+        assert got.coloring is None
+    else:
+        assert got.coloring == [relabel(c) for c in want.coloring]
 
 
 # --- analytic helpers -------------------------------------------------------

@@ -119,9 +119,15 @@ def test_family_members_are_transversals_when_one_exists(seed):
     st.integers(min_value=0, max_value=3),
 )
 def test_hit_by_at_most_agrees_with_oracle(instance, k):
-    # edges of mixed sizes, empty ones included, with the first repeated
+    # edges of mixed sizes, empty ones included, with the first repeated;
+    # the kernel reads each edge as a bitset, vertex v as bit 1 << v
     n, edges = instance
     h = build_hypergraph(n, edges + edges[:1])
     want = oracle_has_small_transversal(h, k)
-    assert _hit_by_at_most(list(h.edges), k) == want
+    assert _hit_by_at_most([sum(1 << v for v in e) for e in h.edges], k) == want
     assert has_small_transversal(h, k) == want
+    if k >= 1 and h.m:
+        # the paper's family holds a transversal exactly when one of size k
+        # exists, and one of size at most k pads out to k when n allows it
+        hit = any(is_transversal(h, s) for s in candidate_family(h, k))
+        assert hit == (k <= n and want)
