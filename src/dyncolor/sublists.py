@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .coloring import _check_r, _normalize_lists, is_r_dynamic, solve_list_coloring
 from .graphs import Graph, Hypergraph, degree_stats
-from .transversal import _hit_by_at_most
+from .transversal import _hit_by_at_most, _mask
 
 
 @dataclass
@@ -172,18 +172,6 @@ def _check_state(g, state):
     if state.r is None:
         raise ValueError("state has no r; sample with r= to enable event checks")
     _check_count(g, state.sublists)
-
-
-def _mask(colors, bits) -> int:
-    """colors as an int bitset, with bits mapping each color to its bit.
-
-    A color seen for the first time gets the next free bit, so colors may be
-    any hashable values and no mask depends on what they are.
-    """
-    mask = 0
-    for c in colors:
-        mask |= bits.setdefault(c, 1 << len(bits))
-    return mask
 
 
 def bad_event_holds(g: Graph, state: SublistState, v) -> bool:

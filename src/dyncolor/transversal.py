@@ -4,9 +4,11 @@ A transversal is a vertex set meeting every edge.  has_small_transversal
 decides whether one of size at most r exists, on any hypergraph, with
 _hit_by_at_most: a depth-bounded search that branches on a smallest edge and
 stops at the first transversal.  The search reads each edge as a Python int
-used as a bitset (vertex v is bit 1 << v here; the sublist bad-event check
-gives each color a bit of its own), so dropping the edges a pick meets and
-intersecting the rest are single int operations.
+used as a bitset, built by _mask: each vertex id (or, for the sublist
+bad-event check, each color) gets the next free bit the first time it is
+seen, so the ints stay as wide as the number of distinct ids, whatever their
+values.  Dropping the edges a pick meets and intersecting the rest are then
+single int operations.
 
 candidate_family, the paper's constructive object and the tests' reference,
 builds for a target size r at most k^r size-r sets (k = largest edge) such
@@ -78,15 +80,31 @@ def candidate_family(h: Hypergraph, r) -> CandidateFamily:
     return CandidateFamily(r=r, sets=ordered)
 
 
+def _mask(items, bits) -> int:
+    """items as an int bitset, with bits mapping each item to its bit.
+
+    An item seen for the first time gets the next free bit, so items may be
+    any hashable values and no mask depends on what they are: the kernel's
+    bits are numbered densely whatever the vertex ids or colors.
+    """
+    mask = 0
+    for x in items:
+        mask |= bits.setdefault(x, 1 << len(bits))
+    return mask
+
+
 def _hit_by_at_most(masks, k) -> bool:
     """True when at most k bits meet every mask in masks (ints as bitsets).
 
     The d-Hitting-Set search tree: some bit of a smallest mask must be
     picked, so branch on each of them and drop the masks it meets.  One pick
     left means the remaining masks share a bit, so the last level is a
-    running AND, inlined at k = 2, where it stops as soon as the AND is 0.
-    Depth is at most k and the search stops at the first transversal found;
-    no candidate family is built.  An empty mask (0) is met by nothing.
+    running AND that stops as soon as it is 0.  At k = 2 that AND is
+    inlined into the branching loop, saving a filtered list and a call per
+    branch; recursing instead made lll_dense operations about a third
+    slower.  Depth is at most k and the search stops at the first
+    transversal found; no candidate family is built.  An empty mask (0) is
+    met by nothing.  Build masks with _mask.
     """
     if not masks:
         return True
@@ -96,22 +114,24 @@ def _hit_by_at_most(masks, k) -> bool:
         common = -1
         for m in masks:
             common &= m
-        return common != 0
+            if not common:
+                return False
+        return True
     smallest = min(masks, key=int.bit_count)
     while smallest:
         bit = smallest & -smallest
         smallest ^= bit
-        if k > 2:
-            if _hit_by_at_most([m for m in masks if not m & bit], k - 1):
+        if k == 2:
+            # the k == 1 case on the masks missing bit, without building them
+            common = -1
+            for m in masks:
+                if not m & bit:
+                    common &= m
+                    if not common:
+                        break
+            if common:
                 return True
-            continue
-        common = -1
-        for m in masks:
-            if not m & bit:
-                common &= m
-                if not common:
-                    break
-        if common:
+        elif _hit_by_at_most([m for m in masks if not m & bit], k - 1):
             return True
     return False
 
@@ -119,4 +139,5 @@ def _hit_by_at_most(masks, k) -> bool:
 def has_small_transversal(h: Hypergraph, r) -> bool:
     """Decide whether a transversal of size at most r exists, on any hypergraph."""
     _check_r(r, 0)
-    return _hit_by_at_most([sum(1 << v for v in e) for e in h.edges], r)
+    bits = {}
+    return _hit_by_at_most([_mask(e, bits) for e in h.edges], r)

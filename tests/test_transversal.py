@@ -5,8 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncolor import build_hypergraph, candidate_family, has_small_transversal, is_transversal
-from dyncolor.transversal import _hit_by_at_most
+from dyncolor import (
+    build_hypergraph,
+    candidate_family,
+    generate,
+    has_small_transversal,
+    is_transversal,
+    neighborhood_color_hypergraph,
+)
+from dyncolor.transversal import _hit_by_at_most, _mask
 from .helpers import oracle_has_small_transversal
 
 
@@ -120,14 +127,39 @@ def test_family_members_are_transversals_when_one_exists(seed):
 )
 def test_hit_by_at_most_agrees_with_oracle(instance, k):
     # edges of mixed sizes, empty ones included, with the first repeated;
-    # the kernel reads each edge as a bitset, vertex v as bit 1 << v
+    # the kernel reads each edge as a bitset from _mask
     n, edges = instance
     h = build_hypergraph(n, edges + edges[:1])
     want = oracle_has_small_transversal(h, k)
-    assert _hit_by_at_most([sum(1 << v for v in e) for e in h.edges], k) == want
+    bits = {}
+    assert _hit_by_at_most([_mask(e, bits) for e in h.edges], k) == want
     assert has_small_transversal(h, k) == want
     if k >= 1 and h.m:
         # the paper's family holds a transversal exactly when one of size k
         # exists, and one of size at most k pads out to k when n allows it
         hit = any(is_transversal(h, s) for s in candidate_family(h, k))
         assert hit == (k <= n and want)
+
+
+@pytest.mark.parametrize("relabel", [lambda c: 10**12 + 3 * c, lambda c: c - 50])
+@pytest.mark.parametrize("seed", range(5))
+def test_has_small_transversal_ignores_vertex_values(relabel, seed):
+    # the colors of a neighborhood hypergraph are its vertex ids; huge or
+    # negative ones are numbered densely, so the answer is the small ids' one
+    rng = random.Random(seed)
+    g = generate("random_regular", n=10, d=4, seed=seed)
+    lists = [rng.sample(range(6), 3) for _ in range(g.n)]
+    relabelled = [[relabel(c) for c in t] for t in lists]
+    for v in range(g.n):
+        h = neighborhood_color_hypergraph(g, lists, v)
+        big = neighborhood_color_hypergraph(g, relabelled, v)
+        for r in range(4):
+            assert has_small_transversal(big, r) == oracle_has_small_transversal(h, r)
+
+
+def test_has_small_transversal_sparse_large_n():
+    # cost follows the edges, not the size of the vertex ids
+    n = 10**12
+    h = build_hypergraph(n, [{0, n - 1}, {1, n - 1}, {2, 3}])
+    assert not has_small_transversal(h, 1)
+    assert has_small_transversal(h, 2)
