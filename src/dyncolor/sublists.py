@@ -287,48 +287,3 @@ def dynamic_coloring_via_sublists(
             "this contradicts the clearing guarantee and is a bug"
         )
     return PipelineResult(coloring=coloring, log=log, status="ok")
-
-
-def sublist_condition_lhs(max_degree, r, slack, sublist_size) -> float:
-    """Left side of the degree condition the sublist argument needs."""
-    if min(max_degree, r, slack, sublist_size) <= 0:
-        raise ValueError("all parameters must be positive")
-    _check_r(r, 2)
-    if slack < r - 1:
-        raise ValueError(f"slack {slack} below the floor r-1 = {r - 1}")
-    total = sublist_size + slack
-    return ((r + 1) * math.log(max_degree) + (r - 1) * math.log(r) + 1) * (
-        (total / slack) ** (r - 1)
-    )
-
-
-def sublist_condition_holds(max_degree, min_degree, r, slack, sublist_size) -> bool:
-    """Degree condition under which resampling is expected to clear.
-
-    Reads: ((r+1) ln Delta + (r-1) ln r + 1) * ((l+s)/s)^(r-1) <= delta,
-    with l the sublist size and s the slack.  When it holds, lists of size
-    l + s + r - 2 suffice for an r-dynamic list coloring.
-    """
-    if min_degree <= 0:
-        raise ValueError("all parameters must be positive")
-    return sublist_condition_lhs(max_degree, r, slack, sublist_size) <= min_degree
-
-
-def fixed_set_hits_all_bound(sublist_size, slack, r, min_degree) -> float:
-    """Bound on the chance one fixed (r-1)-color-set hits every neighbor sublist.
-
-    Report-only diagnostic: (1 - (s/(l+s))^(r-1))^delta.
-    """
-    total = sublist_size + slack
-    miss = (slack / total) ** (r - 1)
-    return (1 - miss) ** min_degree
-
-
-def bad_event_bound(sublist_size, slack, r, min_degree) -> float:
-    """Union bound on the bad-event probability at one vertex.
-
-    Report-only diagnostic: (l+s+r-2)^(r-1) * exp(-delta * (s/(l+s))^(r-1)).
-    """
-    total = sublist_size + slack
-    miss = (slack / total) ** (r - 1)
-    return (total + r - 2) ** (r - 1) * math.exp(-min_degree * miss)

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import math
+import re
 
 import pytest
 
-from dyncolor import bounds_report
+from dyncolor import (
+    bad_event_bound,
+    bounds_report,
+    fixed_set_hits_all_bound,
+    sublist_condition_holds,
+    sublist_condition_lhs,
+)
 
 
 def entry(report, entry_id):
@@ -144,6 +154,38 @@ def test_sparse_neighborhoods_entry():
     assert missing["missing"] == ["neighborhood_sparsity", "degree_ratio_cap"]
 
 
+def test_overflow_names_the_entry():
+    # 6^(2r) * r^(3r) is an int too large for a float from r = 47 on
+    with pytest.raises(ValueError, match="almost_regular overflows a float"):
+        bounds_report(10, 10, 47)
+    assert entry(bounds_report(10, 10, 46), "almost_regular")["list_size_threshold"] > 1e300
+    with pytest.raises(ValueError, match="list_plus_r_minus_1 overflows a float"):
+        bounds_report(10, 10, 20, list_size=1e20)
+    with pytest.raises(ValueError, match="list_plus_r_minus_1 overflows a float"):
+        bounds_report(10, 10, 30, list_size=1e12, slack=29)
+    # a float product overflows to inf without raising
+    with pytest.raises(ValueError, match="list_plus_r_minus_1 overflows a float in condition_lhs"):
+        bounds_report(10, 10, 2, list_size=1e308)
+
+
+@pytest.mark.parametrize("formula", [fixed_set_hits_all_bound, bad_event_bound])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 0, 2, 5), "all parameters must be positive"),
+        ((3, -1, 2, 5), "all parameters must be positive"),
+        ((3, 2, 2, 0), "all parameters must be positive"),
+        ((3, 2, 1, 5), "r must be >= 2, got 1"),
+        ((3, 1, 3, 5), "slack 1 below the floor r-1 = 2"),
+    ],
+    ids=["zero_slack", "negative_slack", "zero_min_degree", "r_1", "slack_below_floor"],
+)
+def test_probability_diagnostics_reject_bad_parameters(formula, args, message):
+    # (sublist_size, slack, r, min_degree), checked as sublist_condition_lhs checks
+    with pytest.raises(ValueError, match=re.escape(message)):
+        formula(*args)
+
+
 def test_entries_are_json_ready():
     import json
 
@@ -153,3 +195,31 @@ def test_entries_are_json_ready():
     )
     text = json.dumps(rep, sort_keys=True)
     assert json.loads(text) == rep
+
+
+def test_bounds_frozen():
+    # one digest over reports at r = 2..6 with every input given or left out,
+    # slacks below and at the floor r-1, and the four formulas on valid
+    # inputs: a moved value, key or flag anywhere shows here
+    degrees = ((1, 1), (10, 10), (43, 43), (300, 100), (1200, 1200), (24.5, 20.0))
+    extras = ((None, None, None, None), (50, None, 16, None), (100, 0.3, 16, 3), (100, 0.6, 1, 3))
+    rows = []
+    for r, (max_degree, min_degree) in itertools.product(range(2, 7), degrees):
+        for list_size, slack in itertools.product((None, 1, 5, 90000), (None, 1, r - 1, r + 2)):
+            for n, p, f, cap in extras:
+                rows.append(bounds_report(
+                    max_degree, min_degree, r, list_size=list_size, slack=slack, n=n, p=p,
+                    neighborhood_sparsity=f, degree_ratio_cap=cap,
+                ))
+    for r in range(2, 7):
+        for slack, size, degree in itertools.product(
+            (r - 1, r, 2.5 * r, 3 * r), (1, 2, 7, 40), (1, 3, 24, 1000)
+        ):
+            rows.append([
+                sublist_condition_lhs(degree, r, slack, size),
+                sublist_condition_holds(degree, degree // 2 + 1, r, slack, size),
+                fixed_set_hits_all_bound(size, slack, r, degree),
+                bad_event_bound(size, slack, r, degree),
+            ])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "91df668552e6c6f415a605d0221231b1e85a451cb4e7025098da4f636a754137"

@@ -207,6 +207,14 @@ def test_bounds(capsys):
     assert sub["applicable"] is True and sub["bound"] == 2
 
 
+def test_bounds_overflow_exits_2(capsys):
+    code, out, err = run(capsys, ["bounds", "--Delta", "10", "--delta", "10", "--r", "47"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: entry almost_regular overflows") and err.count("\n") == 1
+    code, out, _ = run_json(capsys, ["bounds", "--Delta", "10", "--delta", "10", "--r", "46"])
+    assert code == 0 and out["report"]["inputs"]["r"] == 46
+
+
 def test_experiment(capsys):
     argv = [
         "experiment", "--n", "10", "--p", "0.4", "--r", "2",
