@@ -18,7 +18,7 @@ from dyncolor import (
     solve_list_coloring,
 )
 from dyncolor.coloring import _check_r, _normalize_lists
-from dyncolor.graphs import degree_stats
+from dyncolor.graphs import Graph, degree_stats
 from dyncolor.sublists import ResampleLog
 
 
@@ -186,6 +186,29 @@ def oracle_strong_chi(h, r):
             if all(len({combo[v] for v in e}) >= min(r, len(e)) for e in h.edges):
                 return k
     raise AssertionError("n colors always suffice")
+
+
+def oracle_build_graph(n, edge_list) -> Graph:
+    """build_graph as first written: a sorted pair set, then the adjacency sets.
+
+    Rejects out-of-range endpoints and self-loops; duplicate and reversed
+    pairs collapse to a single edge.
+    """
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    seen = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        seen.add((u, v) if u < v else (v, u))
+    edges = tuple(sorted(seen))
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(n=n, edges=edges, adj=tuple(frozenset(s) for s in nbrs))
 
 
 def oracle_gnp(n, p, seed):

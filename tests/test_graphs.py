@@ -22,7 +22,7 @@ from dyncolor import (
 )
 from dyncolor import graphs as graphs_module
 
-from .helpers import oracle_gnp, oracle_gnp_skip
+from .helpers import oracle_build_graph, oracle_gnp, oracle_gnp_skip
 
 
 @st.composite
@@ -59,6 +59,32 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         build_graph(-1, [])
+
+
+def _built(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=-1, max_value=8), st.data())
+def test_build_graph_matches_oracle(n, data):
+    # duplicates, reversed pairs, isolated vertices and n = 0 come up on
+    # their own; half the lists keep their bad edges, which must raise alike
+    vertex = st.integers(min_value=-1, max_value=max(n, 0))
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    if data.draw(st.booleans()):
+        edges = [(u, v) for u, v in edges if 0 <= u < n and 0 <= v < n and u != v]
+    assert _built(build_graph, n, edges) == _built(oracle_build_graph, n, edges)
+
+
+def test_build_graph_matches_oracle_on_dense_shuffled_edges():
+    rng = random.Random(3)
+    edges = [(u, v) for u in range(60) for v in range(60) if u != v and rng.random() < 0.6]
+    rng.shuffle(edges)
+    assert build_graph(60, edges) == oracle_build_graph(60, edges)
 
 
 def test_generate_cycle_complete_bipartite():
