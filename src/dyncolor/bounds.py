@@ -11,20 +11,29 @@ computable cofactor only.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .coloring import _check_r
 
 
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if value is not None and value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
 def _condition_lhs(max_degree, r, ratio):
     """((r+1) ln Delta + (r-1) ln r + 1) * ratio^(r-1), the degree condition's left side."""
     return ((r + 1) * math.log(max_degree) + (r - 1) * math.log(r) + 1) * (ratio ** (r - 1))
+
+
+def _finite(func):
+    """func with float overflow, raised or returned as inf, a ValueError naming func."""
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        try:
+            value = func(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise ValueError(f"{func.__name__} overflows a float")
+        return value
+    return checked
 
 
 def _check_sublist_params(degree, r, slack, sublist_size):
@@ -35,6 +44,7 @@ def _check_sublist_params(degree, r, slack, sublist_size):
         raise ValueError(f"slack {slack} below the floor r-1 = {r - 1}")
 
 
+@_finite
 def sublist_condition_lhs(max_degree, r, slack, sublist_size) -> float:
     """Left side of the degree condition the sublist argument needs."""
     _check_sublist_params(max_degree, r, slack, sublist_size)
@@ -53,6 +63,7 @@ def sublist_condition_holds(max_degree, min_degree, r, slack, sublist_size) -> b
     return sublist_condition_lhs(max_degree, r, slack, sublist_size) <= min_degree
 
 
+@_finite
 def fixed_set_hits_all_bound(sublist_size, slack, r, min_degree) -> float:
     """Bound on the chance one fixed (r-1)-color-set hits every neighbor sublist.
 
@@ -64,6 +75,7 @@ def fixed_set_hits_all_bound(sublist_size, slack, r, min_degree) -> float:
     return (1 - miss) ** min_degree
 
 
+@_finite
 def bad_event_bound(sublist_size, slack, r, min_degree) -> float:
     """Union bound on the bad-event probability at one vertex.
 
@@ -107,7 +119,9 @@ def bounds_report(
         "neighborhood_sparsity": neighborhood_sparsity,
         "degree_ratio_cap": degree_ratio_cap,
     }
-    _require_positive(**inputs)
+    for name, value in inputs.items():
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     _check_r(r, 2)
     if max_degree < min_degree:
         raise ValueError(f"max degree {max_degree} below min degree {min_degree}")

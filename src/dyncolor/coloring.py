@@ -24,9 +24,9 @@ from __future__ import annotations
 from .graphs import Graph, Hypergraph
 
 
-def _check_coloring(n, coloring):
-    if len(coloring) != n:
-        raise ValueError(f"coloring has {len(coloring)} entries for {n} vertices")
+def _check_len(n, seq, what):
+    if len(seq) != n:
+        raise ValueError(f"{what} has {len(seq)} entries for {n} vertices")
 
 
 def _check_r(r, floor):
@@ -41,8 +41,7 @@ def _check_cap(n, max_n):
 
 def _normalize_lists(n, lists, floor=1):
     """Each list as a sorted tuple of distinct colors, at least floor of them."""
-    if len(lists) != n:
-        raise ValueError(f"list assignment has {len(lists)} entries for {n} vertices")
+    _check_len(n, lists, "list assignment")
     out = []
     for v, colors in enumerate(lists):
         t = tuple(sorted(set(colors)))
@@ -54,7 +53,7 @@ def _normalize_lists(n, lists, floor=1):
 
 def is_proper(g: Graph, coloring) -> bool:
     """True when no edge joins two equal colors."""
-    _check_coloring(g.n, coloring)
+    _check_len(g.n, coloring, "coloring")
     return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
@@ -72,7 +71,7 @@ def is_r_dynamic(g: Graph, coloring, r) -> bool:
 def is_r_strong(h: Hypergraph, coloring, r) -> bool:
     """Every edge carries min(r, |e|) distinct colors; properness not required."""
     _check_r(r, 1)
-    _check_coloring(h.n, coloring)
+    _check_len(h.n, coloring, "coloring")
     return _meets(h.edges, coloring, r)
 
 

@@ -108,8 +108,6 @@ def lift_coloring(aug: AugmentedHypergraph, f, alphas):
     construction and raises).
     """
     r = aug.r
-    if len(f) != aug.hyper.n:
-        raise ValueError(f"coloring has {len(f)} entries for {aug.hyper.n} vertices")
     if not is_r_strong(aug.hyper, f, r):
         raise ValueError("f is not r-strong on the augmented hypergraph")
     alphas = tuple(alphas)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .coloring import _check_r, chi_exact, is_r_dynamic
+from .coloring import _check_cap, _check_r, chi_exact, is_r_dynamic
 from .graphs import degree_stats, generate
 from .greedy import greedy_r_dynamic
 from .sublists import _sorted_sample, dynamic_coloring_via_sublists
@@ -58,8 +58,8 @@ def experiment_random_graphs(
     if mode not in ("greedy", "lll", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_r(r, 2 if mode == "lll" else 1)
-    if mode == "exact" and n > max_n:
-        raise ValueError(f"exact mode capped at n <= {max_n}, got {n}")
+    if mode == "exact":
+        _check_cap(n, max_n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 

@@ -59,18 +59,15 @@ def build_graph(n, edge_list) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    seen = set()
+    nbrs = [set() for _ in range(n)]
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(seen))
-    nbrs = [set() for _ in range(n)]
-    for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
+    edges = tuple([(u, v) for u, s in enumerate(nbrs) for v in sorted(s) if v > u])
     return Graph(n=n, edges=edges, adj=tuple(frozenset(s) for s in nbrs))
 
 

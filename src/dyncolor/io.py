@@ -19,47 +19,48 @@ from __future__ import annotations
 
 import json
 
+from .coloring import _check_len
 from .graphs import Graph, Hypergraph, build_graph, build_hypergraph
 
 
-def _significant_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line
-
-
-def parse_graph(text) -> Graph:
-    lines = _significant_lines(text)
+def _parse_records(text, what, words, record):
+    """n and record(lineno, line, n) per line after a '<words> <n> <m>' header."""
+    stripped = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    lines = ((lineno, line) for lineno, line in stripped if line and not line.startswith("c"))
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise ValueError("empty graph input") from None
+        raise ValueError(f"empty {what} input") from None
     parts = header.split()
-    if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
-        raise ValueError(f"line {lineno}: expected 'p edge <n> <m>', got {header!r}")
+    if parts[:-2] != words.split():
+        raise ValueError(f"line {lineno}: expected '{words} <n> <m>', got {header!r}")
     try:
-        n, m = int(parts[2]), int(parts[3])
+        n, m = int(parts[-2]), int(parts[-1])
     except ValueError:
         raise ValueError(f"line {lineno}: non-integer counts in {header!r}") from None
-    edges = []
-    for lineno, line in lines:
-        fields = line.split()
-        if len(fields) != 3 or fields[0] != "e":
-            raise ValueError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"line {lineno}: endpoint out of range 1..{n} in {line!r}")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop at {u}")
-        edges.append((u - 1, v - 1))
-    if len(edges) != m:
-        raise ValueError(f"header declares {m} edges, found {len(edges)}")
-    return build_graph(n, edges)
+    records = [record(lineno, line, n) for lineno, line in lines]
+    if len(records) != m:
+        raise ValueError(f"header declares {m} edges, found {len(records)}")
+    return n, records
+
+
+def _edge(lineno, line, n):
+    fields = line.split()
+    if len(fields) != 3 or fields[0] != "e":
+        raise ValueError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
+    try:
+        u, v = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ValueError(f"line {lineno}: endpoint out of range 1..{n} in {line!r}")
+    if u == v:
+        raise ValueError(f"line {lineno}: self-loop at {u}")
+    return u - 1, v - 1
+
+
+def parse_graph(text) -> Graph:
+    return build_graph(*_parse_records(text, "graph", "p edge", _edge))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -68,34 +69,19 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_hypergraph(text) -> Hypergraph:
-    lines = _significant_lines(text)
+def _hyperedge(lineno, line, n):
     try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError("empty hypergraph input") from None
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "h":
-        raise ValueError(f"line {lineno}: expected 'h <n> <m>', got {header!r}")
-    try:
-        n, m = int(parts[1]), int(parts[2])
+        members = [int(f) for f in line.split()]
     except ValueError:
-        raise ValueError(f"line {lineno}: non-integer counts in {header!r}") from None
-    edges = []
-    for lineno, line in lines:
-        try:
-            members = [int(f) for f in line.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex id in {line!r}") from None
-        if not members:
-            raise ValueError(f"line {lineno}: empty edge")
-        for v in members:
-            if not (1 <= v <= n):
-                raise ValueError(f"line {lineno}: vertex {v} out of range 1..{n}")
-        edges.append([v - 1 for v in members])
-    if len(edges) != m:
-        raise ValueError(f"header declares {m} edges, found {len(edges)}")
-    return build_hypergraph(n, edges)
+        raise ValueError(f"line {lineno}: non-integer vertex id in {line!r}") from None
+    for v in members:
+        if not (1 <= v <= n):
+            raise ValueError(f"line {lineno}: vertex {v} out of range 1..{n}")
+    return [v - 1 for v in members]
+
+
+def parse_hypergraph(text) -> Hypergraph:
+    return build_hypergraph(*_parse_records(text, "hypergraph", "h", _hyperedge))
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
@@ -108,15 +94,19 @@ def serialize_hypergraph(h: Hypergraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _load_json(text, what):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+
+
 def parse_lists(text, n):
     """Parse a JSON list assignment covering vertices 0..n-1.
 
     Returns a list of sorted color tuples indexed by vertex.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"list assignment is not valid JSON: {exc}") from None
+    obj = _load_json(text, "list assignment")
     if not isinstance(obj, dict):
         raise ValueError("list assignment must be a JSON object")
     lists = [None] * n
@@ -147,14 +137,10 @@ def serialize_lists(lists) -> str:
 
 
 def parse_coloring(text, n):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"coloring is not valid JSON: {exc}") from None
+    obj = _load_json(text, "coloring")
     if not isinstance(obj, list):
         raise ValueError("coloring must be a JSON array")
-    if len(obj) != n:
-        raise ValueError(f"coloring has {len(obj)} entries, graph has {n} vertices")
+    _check_len(n, obj, "coloring")
     for v, c in enumerate(obj):
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise ValueError(f"coloring entry {v} is not a nonnegative integer: {c!r}")

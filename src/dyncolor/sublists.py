@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import _check_r, _normalize_lists, is_r_dynamic, solve_list_coloring
+from .coloring import _check_len, _check_r, _normalize_lists, is_r_dynamic, solve_list_coloring
 from .graphs import Graph, Hypergraph, degree_stats
 from .transversal import _hit_by_at_most, _mask
 
@@ -146,11 +146,6 @@ def _check_vertex(g, v):
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
 
 
-def _check_count(g, lists):
-    if len(lists) != g.n:
-        raise ValueError(f"list assignment has {len(lists)} entries for {g.n} vertices")
-
-
 def neighborhood_color_hypergraph(g: Graph, assignment, v) -> Hypergraph:
     """Hypergraph whose edges are the color lists of v's neighbors.
 
@@ -158,7 +153,7 @@ def neighborhood_color_hypergraph(g: Graph, assignment, v) -> Hypergraph:
     when every list is empty), one edge per neighbor in ascending neighbor
     order, duplicates kept.
     """
-    _check_count(g, assignment)
+    _check_len(g.n, assignment, "list assignment")
     _check_vertex(g, v)
     if g.degree(v) == 0:
         raise ValueError(f"vertex {v} is isolated; neighborhood hypergraph undefined")
@@ -171,7 +166,7 @@ def _check_state(g, state):
     """The state is armed with r and holds one sublist per vertex of g."""
     if state.r is None:
         raise ValueError("state has no r; sample with r= to enable event checks")
-    _check_count(g, state.sublists)
+    _check_len(g.n, state.sublists, "list assignment")
 
 
 def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
@@ -268,8 +263,6 @@ def dynamic_coloring_via_sublists(
             log=ResampleLog(iterations=0, violations_per_sweep=(), status="clear"),
             status="ok",
         )
-    if len(lists) != g.n:
-        raise ValueError(f"list assignment has {len(lists)} entries for {g.n} vertices")
     min_degree = degree_stats(g).min_degree
     if min_degree < r:
         raise ValueError(f"minimum degree {min_degree} below r = {r}")

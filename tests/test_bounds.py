@@ -186,6 +186,37 @@ def test_probability_diagnostics_reject_bad_parameters(formula, args, message):
         formula(*args)
 
 
+@pytest.mark.parametrize(
+    "formula, args",
+    [
+        (bad_event_bound, (10**6, 60, 60, 10)),  # an int power times a float
+        (bad_event_bound, (1e308, 1e308, 2, 1)),  # an inf result
+        (sublist_condition_lhs, (10**300, 3, 2, 10**300)),  # a float power
+        (sublist_condition_lhs, (1e308, 2, 1, 1e308)),  # an inf result
+        (fixed_set_hits_all_bound, (1, 10**400, 10**400, 1)),  # an exponent past a float
+    ],
+    ids=["bad_event_int", "bad_event_inf", "lhs_power", "lhs_inf", "fixed_set_exponent"],
+)
+def test_formula_overflow_is_a_value_error_naming_the_function(formula, args):
+    with pytest.raises(ValueError) as info:
+        formula(*args)
+    assert str(info.value) == f"{formula.__name__} overflows a float"
+
+
+def test_condition_holds_overflow_names_the_left_side():
+    for args in [(10**300, 10**300, 3, 2, 10**300), (1e308, 1e308, 2, 1, 1e308)]:
+        with pytest.raises(ValueError) as info:
+            sublist_condition_holds(*args)
+        assert str(info.value) == "sublist_condition_lhs overflows a float"
+
+
+def test_formulas_keep_their_names_and_docstrings():
+    for formula in [sublist_condition_lhs, fixed_set_hits_all_bound, bad_event_bound]:
+        assert formula.__module__ == "dyncolor.bounds"
+        assert formula.__doc__.splitlines()[0].endswith(".")
+    assert bad_event_bound.__name__ == "bad_event_bound"
+
+
 def test_entries_are_json_ready():
     import json
 

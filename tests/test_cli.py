@@ -253,6 +253,24 @@ def test_missing_instance_errors(ws, capsys):
         assert run(capsys, argv) == (2, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("check", "--coloring", "[" * 200_000),
+        ("solve", "--lists", "[" * 200_000),
+        ("solve", "--lists", '{"0":' + "[" * 200_000),
+    ],
+    ids=["check-coloring", "solve-lists", "solve-lists-in-object"],
+)
+def test_deeply_nested_json_exits_2(ws, capsys, command, flag, text):
+    g = ws("g.txt", C4)
+    deep = ws("deep.json", text)
+    code, out, err = run(capsys, [command, "--graph", g, flag, deep])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "maximum recursion depth" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [AssertionError, RecursionError])
 def test_internal_errors_exit_3(ws, capsys, monkeypatch, error):
     def broken(*args, **kwargs):

@@ -57,7 +57,10 @@ CASES = [
      "p must lie in [0, 1], got 1.5"),
     ("experiment-exact-cap",
      lambda: experiment_random_graphs(n=13, p=0.5, r=2, trials=1, seed=0, mode="exact"),
-     "exact mode capped at n <= 12, got 13"),
+     "n=13 exceeds cap 12; pass max_n to override"),
+    ("experiment-n",
+     lambda: experiment_random_graphs(n=0, p=0.5, r=2, trials=1, seed=0, mode="greedy"),
+     "n must be >= 1, got 0"),
     ("augment-empty", lambda: augment(build_hypergraph(0, []), 2, 2, 0),
      "base hypergraph needs at least one vertex"),
 ]

@@ -105,6 +105,24 @@ def test_coloring_round_trip():
         parse_coloring('["a", 1, 2]', n=3)
 
 
+DEEP = "[" * 200_000  # nested past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "parse, text, what",
+    [
+        (parse_coloring, DEEP, "coloring"),
+        (parse_lists, DEEP, "list assignment"),
+        (parse_lists, '{"0":' + DEEP, "list assignment"),
+    ],
+    ids=["coloring", "lists", "lists-in-object"],
+)
+def test_deeply_nested_json_is_a_value_error(parse, text, what):
+    with pytest.raises(ValueError) as info:
+        parse(text, 2)
+    assert str(info.value).startswith(f"{what} is not valid JSON: maximum recursion depth")
+
+
 @st.composite
 def graphs(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
