@@ -7,7 +7,11 @@ and its docstring states the rule.
 Vertices go by the number of edges containing them, descending, ties by id
 (on graphs: by degree); colors ascend through each vertex's list, or through
 1..k in first-use order.  The exact chromatic numbers are the least k at
-which the first-use search succeeds (`_least_k`).
+which the first-use search succeeds (`_least_k`).  A proper list coloring
+first tries a first-fit descent (`_first_fit`) in that same order: proper
+mode never prunes, so the search's first descent is first-fit, and when it
+never dead-ends its coloring is the search's first leaf, the one
+`solve_list_coloring` returns.  Only a dead end runs the search.
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
@@ -27,6 +31,11 @@ from .graphs import Graph, Hypergraph
 def _check_len(n, seq, what):
     if len(seq) != n:
         raise ValueError(f"{what} has {len(seq)} entries for {n} vertices")
+
+
+def _is_color(c):
+    """The color rule of the JSON inputs: a non-negative int, bools excluded."""
+    return isinstance(c, int) and not isinstance(c, bool) and c >= 0
 
 
 def _check_r(r, floor):
@@ -95,6 +104,37 @@ def _constraints(x, mode, r):
     return edges, need, (range(x.n) if graph else None)
 
 
+def _order(member):
+    """The search's vertex order: by len(member[v]) descending, ties by id.
+
+    member[v] lists the edges containing v; on a graph in proper or dynamic
+    mode they are the neighborhoods N(u) of v's neighbors u, so the count is
+    v's degree and the adjacency sets serve as well.  Ties keep id order
+    because sorted is stable.
+    """
+    count = [-len(m) for m in member]
+    return sorted(range(len(member)), key=count.__getitem__)
+
+
+def _first_fit(adj, lists):
+    """_search's first descent in proper mode: the coloring, or None at a dead end.
+
+    Each vertex in _order takes the first color of its list that no colored
+    neighbor holds.  Proper mode never prunes, so when no vertex runs out of
+    colors this is the first leaf of _search, the coloring it returns.
+    """
+    color = [None] * len(adj)
+    for v in _order(adj):
+        taken = {color[u] for u in adj[v]}
+        for c in lists[v]:
+            if c not in taken:
+                color[v] = c
+                break
+        else:
+            return None
+    return color
+
+
 def _search(n, edges, need, avoid, lists=None, k=None):
     """The first valid coloring in search order, or None.
 
@@ -111,7 +151,7 @@ def _search(n, edges, need, avoid, lists=None, k=None):
     for j, e in enumerate(edges):
         for v in e:
             member[v].append(j)
-    order = sorted(range(n), key=lambda v: (-len(member[v]), v))
+    order = _order(member)
     spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
     repeats = [0] * len(edges)
     mult = [{} for _ in edges]  # color -> count on the colored members of each edge
@@ -201,8 +241,17 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     ascending.  A branch dies as soon as some edge can no longer reach its
     need even if every uncolored member brings a fresh color; on a full
     assignment that test is the exact condition, so accepted leaves are valid.
+    In proper mode a first-fit descent in the same order runs first; when it
+    never dead-ends its coloring is the search's first leaf, so the search
+    runs only after a dead end.
     """
-    return _search(x.n, *_constraints(x, mode, r), lists=_normalize_lists(x.n, lists))
+    edges, need, avoid = _constraints(x, mode, r)
+    lists = _normalize_lists(x.n, lists)
+    if mode == "proper":
+        coloring = _first_fit(edges, lists)
+        if coloring is not None:
+            return coloring
+    return _search(x.n, edges, need, avoid, lists=lists)
 
 
 def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:

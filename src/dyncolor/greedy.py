@@ -7,7 +7,7 @@ always available and the result is proper and r-dynamic.
 
 from __future__ import annotations
 
-from .coloring import _check_r, _normalize_lists
+from .coloring import _check_len, _check_r, _normalize_lists
 from .graphs import Graph, degree_stats
 
 
@@ -23,6 +23,7 @@ def greedy_r_dynamic(g: Graph, lists, r, order=None):
     dry.  Default order is ascending vertex id.
     """
     _check_r(r, 1)
+    _check_len(g.n, lists, "list assignment")
     if g.n == 0:
         return []
     norm = _normalize_lists(g.n, lists, floor=r * degree_stats(g).max_degree + 1)

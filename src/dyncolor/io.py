@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .coloring import _check_len
+from .coloring import _check_len, _is_color
 from .graphs import Graph, Hypergraph, build_graph, build_hypergraph
 
 
@@ -122,7 +122,7 @@ def parse_lists(text, n):
         if not isinstance(colors, list) or not colors:
             raise ValueError(f"list for vertex {v} must be a nonempty array")
         for c in colors:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            if not _is_color(c):
                 raise ValueError(f"list for vertex {v} has a bad color {c!r}")
         lists[v] = tuple(sorted(set(colors)))
     missing = [v for v in range(n) if lists[v] is None]
@@ -142,7 +142,7 @@ def parse_coloring(text, n):
         raise ValueError("coloring must be a JSON array")
     _check_len(n, obj, "coloring")
     for v, c in enumerate(obj):
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        if not _is_color(c):
             raise ValueError(f"coloring entry {v} is not a nonnegative integer: {c!r}")
     return list(obj)
 

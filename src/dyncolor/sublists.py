@@ -7,7 +7,12 @@ until none remain, then solve an ordinary proper list coloring on the
 surviving sublists.  Once no bad vertex remains, any proper coloring from the
 sublists is automatically r-dynamic at every vertex of degree >= r: the
 neighbor colors form a transversal of the neighbor-sublist hypergraph, and
-clearing means no small transversal exists.
+clearing means no small transversal exists.  The last step is
+`solve_list_coloring`, whose first-fit descent (vertices by degree
+descending, ties by id, each taking its smallest sublist color no colored
+neighbor holds) is the exhaustive search's first leaf whenever it does not
+dead-end; sublists longer than the maximum degree never dead-end, so then
+the search itself does not run.
 
 The resampling loop follows Moser and Tardos: the bad event at v reads only
 the sublists of N(v), so after redrawing the sublists of N(c) it rechecks
@@ -16,8 +21,9 @@ up to date.  Each check decides "fewer than r colors meet every neighbor
 sublist" directly by the transversal module's depth-bounded hitting-set
 search, on one int bitset per sublist: each color gets a bit of its own the
 first time a sublist holds it, so colors may be any orderable values, and
-only the masks of redrawn sublists are rebuilt.  The candidate family of the
-transversal module is not built on this path.
+only the masks of redrawn sublists are rebuilt.  At r = 2 that search is a
+single running AND of the neighbor masks, written out in the loop.  The
+candidate family of the transversal module is not built on this path.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import _check_len, _check_r, _normalize_lists, is_r_dynamic, solve_list_coloring
+from .coloring import _check_len, _check_r, _is_color, _normalize_lists, is_r_dynamic, solve_list_coloring
 from .graphs import Graph, Hypergraph, degree_stats
 from .transversal import _hit_by_at_most, _mask
 
@@ -79,17 +85,6 @@ class PipelineResult:
     status: str
 
 
-def _draws(getrandbits, pool, n, k):
-    # the pool branch of Random.sample, one getrandbits call per try
-    for m in range(n, n - k, -1):
-        bits = m.bit_length()
-        j = getrandbits(bits)
-        while j >= m:
-            j = getrandbits(bits)
-        yield pool[j]
-        pool[j] = pool[m - 1]
-
-
 def _sorted_sample(rng, population, k):
     """tuple(sorted(rng.sample(population, k))), from the same draws.
 
@@ -101,7 +96,19 @@ def _sorted_sample(rng, population, k):
     setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
     if type(rng) is not random.Random or n > setsize or not 0 <= k <= n:
         return tuple(sorted(rng.sample(population, k)))
-    return tuple(sorted(_draws(rng.getrandbits, list(population), n, k)))
+    getrandbits = rng.getrandbits
+    pool = list(population)
+    out = []
+    for m in range(n, n - k, -1):
+        # one getrandbits call per try, as Random._randbelow makes them
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        out.append(pool[j])
+        pool[j] = pool[m - 1]
+    out.sort()
+    return tuple(out)
 
 
 def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistState:
@@ -151,13 +158,19 @@ def neighborhood_color_hypergraph(g: Graph, assignment, v) -> Hypergraph:
 
     Vertex ids are the color values themselves (universe 0..max color, 0
     when every list is empty), one edge per neighbor in ascending neighbor
-    order, duplicates kept.
+    order, duplicates kept.  So each color on a neighbor's list must be a
+    non-negative int, by the rule of `parse_lists`.
     """
     _check_len(g.n, assignment, "list assignment")
     _check_vertex(g, v)
     if g.degree(v) == 0:
         raise ValueError(f"vertex {v} is isolated; neighborhood hypergraph undefined")
-    edges = [frozenset(assignment[w]) for w in sorted(g.adj[v])]
+    edges = []
+    for w in sorted(g.adj[v]):
+        for c in assignment[w]:
+            if not _is_color(c):
+                raise ValueError(f"list for vertex {w} has a bad color {c!r}")
+        edges.append(frozenset(assignment[w]))
     top = max((max(e) for e in edges if e), default=-1)
     return Hypergraph(n=top + 1, edges=tuple(edges))
 
@@ -203,16 +216,31 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
     if max_iters is None:
         max_iters = default_max_iters(g, r)
     adj = g.adj
-    eligible = [g.degree(v) >= r for v in range(g.n)]
+    eligible = [len(nbrs) >= r for nbrs in adj]
+    rng, base, size, sublists = state.rng, state.base, state.sublist_size, state.sublists
     bits = {}
-    masks = [_mask(sub, bits) for sub in state.sublists]
-
-    def bad(v):
-        return _hit_by_at_most([masks[w] for w in adj[v]], r - 1)
-
-    violated = {v for v in range(g.n) if eligible[v] and bad(v)}
+    masks = [_mask(sub, bits) for sub in sublists]
+    violated = set()
+    touched = range(g.n)
     sweeps = []
     while True:
+        for v in touched:
+            if not eligible[v]:
+                continue
+            if r == 2:
+                # _hit_by_at_most(neighbor masks, 1) inlined, its k = 1 case:
+                # bad when one color meets every neighbor sublist
+                hit = -1
+                for w in adj[v]:
+                    hit &= masks[w]
+                    if not hit:
+                        break
+            else:
+                hit = _hit_by_at_most([masks[w] for w in adj[v]], r - 1)
+            if hit:
+                violated.add(v)
+            else:
+                violated.discard(v)
         if not violated:
             status = "clear"
             break
@@ -224,16 +252,10 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         centre = sweep[0]
         touched = set()
         for w in sorted(adj[centre]):
-            sub = _sorted_sample(state.rng, state.base[w], state.sublist_size)
-            state.sublists[w] = sub
+            sub = sublists[w] = _sorted_sample(rng, base[w], size)
             masks[w] = _mask(sub, bits)
-            state.draws += 1
             touched |= adj[w]
-        for v in touched:
-            if eligible[v] and bad(v):
-                violated.add(v)
-            else:
-                violated.discard(v)
+        state.draws += len(adj[centre])
     log = ResampleLog(
         iterations=len(sweeps),
         violations_per_sweep=tuple(sweeps),
@@ -255,6 +277,7 @@ def dynamic_coloring_via_sublists(
     still be legal.
     """
     _check_r(r, 2)
+    _check_len(g.n, lists, "list assignment")
     if g.n == 0:
         if sublist_size is not None and sublist_size < 1:
             raise ValueError(f"sublist size must be >= 1, got {sublist_size}")

@@ -89,7 +89,10 @@ def _mask(items, bits) -> int:
     """
     mask = 0
     for x in items:
-        mask |= bits.setdefault(x, 1 << len(bits))
+        bit = bits.get(x)
+        if bit is None:
+            bit = bits[x] = 1 << len(bits)
+        mask |= bit
     return mask
 
 

@@ -17,7 +17,7 @@ from dyncolor import (
     is_r_strong,
     solve_list_coloring,
 )
-from dyncolor.coloring import _least_k
+from dyncolor.coloring import _constraints, _first_fit, _least_k, _normalize_lists, _search
 from .helpers import (
     oracle_chi,
     oracle_first_coloring,
@@ -214,6 +214,27 @@ def test_solve_list_returns_first_coloring_in_search_order(mode, r, case):
     # cuts a valid branch, returns another coloring (or None)
     g, lists = case
     assert solve_list_coloring(g, lists, mode, r) == oracle_first_coloring(g, lists, mode, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=listed_graphs())
+def test_first_fit_is_the_first_leaf_of_the_search(case):
+    # proper mode never prunes, so a first-fit descent that never dead-ends
+    # is the search's first descent, and its leaf is the coloring returned
+    g, lists = case
+    lists = _normalize_lists(g.n, lists)
+    coloring = _first_fit(g.adj, lists)
+    if coloring is not None:
+        assert coloring == _search(g.n, *_constraints(g, "proper", 0), lists=lists)
+
+
+def test_solve_list_searches_after_a_first_fit_dead_end():
+    # vertex 1 goes first (degree 2) and takes color 1, the only color of
+    # vertex 0; the search backtracks to color 2 at vertex 1
+    g = build_graph(3, [(0, 1), (1, 2)])
+    lists = [(1,), (1, 2), (3,)]
+    assert _first_fit(g.adj, _normalize_lists(3, lists)) is None
+    assert solve_list_coloring(g, lists) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -74,6 +74,12 @@ def test_greedy_edgeless():
     assert greedy_r_dynamic(g, [[5], [6], [7]], 2) == [5, 6, 7]
 
 
+def test_greedy_empty_graph_checks_the_list_count():
+    with pytest.raises(ValueError, match="^list assignment has 2 entries for 0 vertices$"):
+        greedy_r_dynamic(build_graph(0, []), [[1], [2]], 1)
+    assert greedy_r_dynamic(build_graph(0, []), [], 1) == []
+
+
 @settings(max_examples=80)
 @given(
     st.integers(min_value=0, max_value=10**6),

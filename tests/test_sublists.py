@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,22 @@ def test_neighborhood_color_hypergraph_checks_the_assignment():
         neighborhood_color_hypergraph(g, [(1, 2)] * 3, 0)
 
 
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        ([(-3, -1)] * 4, "list for vertex 1 has a bad color -3"),
+        ([("a", "b")] * 4, "list for vertex 1 has a bad color 'a'"),
+        ([(1, 2), (True, 2), (1, 2), (1, 2)], "list for vertex 1 has a bad color True"),
+    ],
+    ids=["negative", "string", "bool"],
+)
+def test_neighborhood_color_hypergraph_rejects_non_vertex_colors(lists, message):
+    # the colors become vertex ids 0..n-1, so they follow parse_lists' rule
+    g = generate("cycle", n=4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        neighborhood_color_hypergraph(g, lists, 0)
+
+
 def test_neighborhood_color_hypergraph_empty_lists():
     # empty edges take no part in the universe; with no nonempty edge it is
     # empty too
@@ -304,17 +321,19 @@ def test_resample_matches_full_sweep_oracle(r, n, p, sublist_size, extra):
 
 
 def test_resample_matches_full_sweep_oracle_at_the_cap():
-    statuses = set()
-    for seed in range(20):
-        for max_iters in (0, 1, 2, 5):
-            g, (fast, slow) = _oracle_pair(3, 18, 0.35, 2, 3, seed)
-            fast, log = resample_until_clear(g, fast, max_iters=max_iters)
-            slow, want = oracle_resample_until_clear(g, slow, max_iters=max_iters)
-            assert log == want
-            assert fast.sublists == slow.sublists
-            assert fast.draws == slow.draws
-            statuses.add(log.status)
-    assert statuses == {"clear", "cap_reached"}
+    # r = 2 runs the inlined one-color check, r = 3 the hitting-set kernel
+    for params in [(2, 24, 0.2, 1, 2), (3, 18, 0.35, 2, 3)]:
+        statuses = set()
+        for seed in range(20):
+            for max_iters in (0, 1, 2, 5):
+                g, (fast, slow) = _oracle_pair(*params, seed)
+                fast, log = resample_until_clear(g, fast, max_iters=max_iters)
+                slow, want = oracle_resample_until_clear(g, slow, max_iters=max_iters)
+                assert log == want
+                assert fast.sublists == slow.sublists
+                assert fast.draws == slow.draws
+                statuses.add(log.status)
+        assert statuses == {"clear", "cap_reached"}
 
 
 # --- the pipeline -----------------------------------------------------------
@@ -375,6 +394,11 @@ def test_pipeline_empty_graph():
     res = dynamic_coloring_via_sublists(build_graph(0, []), [], 2, 2, seed=0)
     assert res.status == "ok"
     assert res.coloring == []
+
+
+def test_pipeline_empty_graph_checks_the_list_count():
+    with pytest.raises(ValueError, match="^list assignment has 1 entries for 0 vertices$"):
+        dynamic_coloring_via_sublists(build_graph(0, []), [[1, 2]], 1, 2, seed=0)
 
 
 def test_pipeline_empty_graph_checks_sublist_size():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncolor import (
+    Hypergraph,
     build_hypergraph,
     candidate_family,
     generate,
@@ -145,14 +146,15 @@ def test_hit_by_at_most_agrees_with_oracle(instance, k):
 @pytest.mark.parametrize("seed", range(5))
 def test_has_small_transversal_ignores_vertex_values(relabel, seed):
     # the colors of a neighborhood hypergraph are its vertex ids; huge or
-    # negative ones are numbered densely, so the answer is the small ids' one
+    # negative ids are numbered densely, so the answer is the small ids' one.
+    # neighborhood_color_hypergraph refuses negative colors, so the
+    # relabelled hypergraph is built from the edges directly.
     rng = random.Random(seed)
     g = generate("random_regular", n=10, d=4, seed=seed)
     lists = [rng.sample(range(6), 3) for _ in range(g.n)]
-    relabelled = [[relabel(c) for c in t] for t in lists]
     for v in range(g.n):
         h = neighborhood_color_hypergraph(g, lists, v)
-        big = neighborhood_color_hypergraph(g, relabelled, v)
+        big = Hypergraph(n=h.n, edges=tuple(frozenset(map(relabel, e)) for e in h.edges))
         for r in range(4):
             assert has_small_transversal(big, r) == oracle_has_small_transversal(h, r)
 
