@@ -59,8 +59,7 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_cap(x.n, max_n)
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds cap {max_k}; pass max_k to override")
+    _check_cap(k, max_k, "k")
     if x.n == 0:
         return True
     if mode == "proper":

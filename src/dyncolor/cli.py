@@ -19,7 +19,8 @@ from . import choosability, coloring, constructions, experiments, greedy, io, su
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # one write: print writes the newline apart, maybe after the reader has gone
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read(path):

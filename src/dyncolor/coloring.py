@@ -9,9 +9,9 @@ Vertices go by the number of edges containing them, descending, ties by id
 1..k in first-use order.  The exact chromatic numbers are the least k at
 which the first-use search succeeds (`_least_k`).  A proper list coloring
 first tries a first-fit descent (`_first_fit`) in that same order: proper
-mode never prunes, so the search's first descent is first-fit, and when it
-never dead-ends its coloring is the search's first leaf, the one
-`solve_list_coloring` returns.  Only a dead end runs the search.
+mode never prunes, so when it never dead-ends its coloring is the search's
+first leaf.  `_proper_list_coloring` runs the search only after a dead end;
+`solve_list_coloring` and the sublist pipeline share it.
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
@@ -43,9 +43,9 @@ def _check_r(r, floor):
         raise ValueError(f"r must be >= {floor}, got {r}")
 
 
-def _check_cap(n, max_n):
+def _check_cap(n, max_n, name="n"):
     if n > max_n:
-        raise ValueError(f"n={n} exceeds cap {max_n}; pass max_n to override")
+        raise ValueError(f"{name}={n} exceeds cap {max_n}; pass max_{name} to override")
 
 
 def _normalize_lists(n, lists, floor=1):
@@ -133,6 +133,14 @@ def _first_fit(adj, lists):
         else:
             return None
     return color
+
+
+def _proper_list_coloring(adj, lists):
+    """_search's first proper coloring from normalized lists, _first_fit's if it has one."""
+    coloring = _first_fit(adj, lists)
+    if coloring is None:
+        coloring = _search(len(adj), adj, [0] * len(adj), range(len(adj)), lists=lists)
+    return coloring
 
 
 def _search(n, edges, need, avoid, lists=None, k=None):
@@ -241,16 +249,11 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     ascending.  A branch dies as soon as some edge can no longer reach its
     need even if every uncolored member brings a fresh color; on a full
     assignment that test is the exact condition, so accepted leaves are valid.
-    In proper mode a first-fit descent in the same order runs first; when it
-    never dead-ends its coloring is the search's first leaf, so the search
-    runs only after a dead end.
     """
     edges, need, avoid = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)
     if mode == "proper":
-        coloring = _first_fit(edges, lists)
-        if coloring is not None:
-            return coloring
+        return _proper_list_coloring(edges, lists)
     return _search(x.n, edges, need, avoid, lists=lists)
 
 

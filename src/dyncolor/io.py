@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .coloring import _check_len, _is_color
+from .coloring import _check_len, _is_color, _normalize_lists
 from .graphs import Graph, Hypergraph, build_graph, build_hypergraph
 
 
@@ -104,7 +104,7 @@ def _load_json(text, what):
 def parse_lists(text, n):
     """Parse a JSON list assignment covering vertices 0..n-1.
 
-    Returns a list of sorted color tuples indexed by vertex.
+    Returns the lists by vertex, normalized by `_normalize_lists`.
     """
     obj = _load_json(text, "list assignment")
     if not isinstance(obj, dict):
@@ -124,11 +124,11 @@ def parse_lists(text, n):
         for c in colors:
             if not _is_color(c):
                 raise ValueError(f"list for vertex {v} has a bad color {c!r}")
-        lists[v] = tuple(sorted(set(colors)))
+        lists[v] = colors
     missing = [v for v in range(n) if lists[v] is None]
     if missing:
         raise ValueError(f"list assignment misses vertices {missing}")
-    return lists
+    return _normalize_lists(n, lists)
 
 
 def serialize_lists(lists) -> str:

@@ -8,11 +8,11 @@ surviving sublists.  Once no bad vertex remains, any proper coloring from the
 sublists is automatically r-dynamic at every vertex of degree >= r: the
 neighbor colors form a transversal of the neighbor-sublist hypergraph, and
 clearing means no small transversal exists.  The last step is
-`solve_list_coloring`, whose first-fit descent (vertices by degree
-descending, ties by id, each taking its smallest sublist color no colored
-neighbor holds) is the exhaustive search's first leaf whenever it does not
-dead-end; sublists longer than the maximum degree never dead-end, so then
-the search itself does not run.
+`solve_list_coloring`'s proper step on the sublists, drawn sorted and
+distinct: a first-fit descent (vertices by degree descending, ties by id)
+is the exhaustive search's first leaf whenever it does not dead-end;
+sublists longer than the maximum degree never dead-end, so then the search
+itself does not run.
 
 The resampling loop follows Moser and Tardos: the bad event at v reads only
 the sublists of N(v), so after redrawing the sublists of N(c) it rechecks
@@ -32,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import _check_len, _check_r, _is_color, _normalize_lists, is_r_dynamic, solve_list_coloring
+from .coloring import _check_len, _check_r, _is_color, _normalize_lists, _proper_list_coloring, is_r_dynamic
 from .graphs import Graph, Hypergraph, degree_stats
 from .transversal import _hit_by_at_most, _mask
 
@@ -294,7 +294,7 @@ def dynamic_coloring_via_sublists(
     state, log = resample_until_clear(g, state, max_iters)
     if log.status != "clear":
         return PipelineResult(coloring=None, log=log, status="cap_reached")
-    coloring = solve_list_coloring(g, state.sublists, mode="proper")
+    coloring = _proper_list_coloring(g.adj, state.sublists)
     if coloring is None:
         return PipelineResult(coloring=None, log=log, status="list_coloring_failed")
     if not is_r_dynamic(g, coloring, r):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from dyncolor import coloring
-from dyncolor.cli import main
+from dyncolor.cli import _emit, main
 
 C4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 K4 = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
@@ -291,3 +292,17 @@ def test_output_is_stable(ws, capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_emit_makes_one_write(monkeypatch):
+    # print writes the newline apart, and a reader that has closed the pipe
+    # after the JSON turns that second write into a BrokenPipeError
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    _emit({"b": 1, "a": [2]})
+    assert writes == ['{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n']

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from dyncolor import constructions as constructions_mod
 from dyncolor import (
     augment,
     build_hypergraph,
@@ -88,6 +89,15 @@ def test_lift_coloring_valid():
         kind, i = aug.edge_label(j)
         want = strong + 2 if kind == "base" else strong + i
         assert lifted[aug.hyper.n + j] == want
+
+
+def test_lift_coloring_raises_when_its_dynamic_check_fails(monkeypatch):
+    # construction_report reports lifted_valid from this check alone
+    aug = augment(TRIANGLE, 2, 2, seed=0)
+    f = solve_list_coloring(aug.hyper, [range(1, 4)] * aug.hyper.n, mode="strong", r=2)
+    monkeypatch.setattr(constructions_mod, "is_r_dynamic", lambda g, coloring, r: False)
+    with pytest.raises(AssertionError, match="failed the dynamic check"):
+        lift_coloring(aug, f, (4, 5))
 
 
 def test_lift_coloring_validation():

@@ -23,6 +23,7 @@ from dyncolor import (
     sublist_condition_holds,
     sublist_condition_lhs,
 )
+from dyncolor import coloring as coloring_mod, sublists as sublists_mod
 from dyncolor.sublists import _sorted_sample
 
 from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
@@ -422,6 +423,37 @@ def test_pipeline_ok_colorings_are_valid(seed):
         assert is_proper(g, res.coloring)
         assert is_r_dynamic(g, res.coloring, 2)
         assert all(res.coloring[v] in lists[v] for v in range(g.n))
+
+
+# C_4 with pairwise disjoint lists: no color meets two neighbor sublists, so
+# every draw is clear at once and the proper list coloring step runs
+C4_DISJOINT = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)]
+
+
+def test_pipeline_normalizes_only_the_base_lists(monkeypatch):
+    # the sublists are drawn sorted and distinct, so neither module's binding
+    # of _normalize_lists sees them
+    calls = []
+    normalize = coloring_mod._normalize_lists
+
+    def spy(n, lists, *args, **kwargs):
+        calls.append(lists)
+        return normalize(n, lists, *args, **kwargs)
+
+    monkeypatch.setattr(coloring_mod, "_normalize_lists", spy)
+    monkeypatch.setattr(sublists_mod, "_normalize_lists", spy)
+    res = dynamic_coloring_via_sublists(generate("cycle", n=4), C4_DISJOINT, 2, 2, seed=0)
+    assert res.status == "ok"
+    assert calls == [C4_DISJOINT]
+
+
+def test_pipeline_raises_on_a_proper_coloring_that_is_not_dynamic(monkeypatch):
+    # [1, 2, 1, 2] is proper on C_4, but each vertex sees one color twice
+    g = generate("cycle", n=4)
+    assert is_proper(g, [1, 2, 1, 2]) and not is_r_dynamic(g, [1, 2, 1, 2], 2)
+    monkeypatch.setattr(sublists_mod, "_proper_list_coloring", lambda adj, lists: [1, 2, 1, 2])
+    with pytest.raises(AssertionError, match="non-dynamic proper coloring"):
+        dynamic_coloring_via_sublists(g, C4_DISJOINT, 2, 2, seed=0)
 
 
 # strictly increasing relabellings: sorted lists keep their order, so every
