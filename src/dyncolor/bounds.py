@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .coloring import _check_r
+from .coloring import _check_r, _check_slack
 
 
 def _condition_lhs(max_degree, r, ratio):
@@ -39,9 +39,7 @@ def _finite(func):
 def _check_sublist_params(degree, r, slack, sublist_size):
     if min(degree, r, slack, sublist_size) <= 0:
         raise ValueError("all parameters must be positive")
-    _check_r(r, 2)
-    if slack < r - 1:
-        raise ValueError(f"slack {slack} below the floor r-1 = {r - 1}")
+    _check_slack(slack, r)
 
 
 @_finite

@@ -63,13 +63,7 @@ def _cmd_solve(args):
     elif args.mode == "greedy":
         out["coloring"] = greedy.greedy_r_dynamic(g, lists, args.r)
     else:  # lll
-        sizes = {len(colors) for colors in lists}
-        if len(sizes) > 1:
-            raise ValueError("lll mode needs uniform base list sizes")
-        sub = args.sublist_size
-        if sub is None and sizes:
-            # the default sublist size leaves the minimum legal slack of r-1
-            sub = sizes.pop() - 2 * args.r + 3
+        sub = sublists._list_sizes(args.r, args.sublist_size, lists=lists)[0]  # default: slack r-1
         result = sublists.dynamic_coloring_via_sublists(
             g, lists, sub, args.r, seed=args.seed, max_iters=args.max_iters
         )

@@ -43,6 +43,12 @@ def _check_r(r, floor):
         raise ValueError(f"r must be >= {floor}, got {r}")
 
 
+def _check_slack(slack, r):
+    _check_r(r, 2)
+    if slack < r - 1:
+        raise ValueError(f"slack {slack} below the floor r-1 = {r - 1}")
+
+
 def _check_cap(n, max_n, name="n"):
     if n > max_n:
         raise ValueError(f"{name}={n} exceeds cap {max_n}; pass max_{name} to override")

@@ -12,7 +12,7 @@ import random
 from .coloring import _check_cap, _check_r, chi_exact, is_r_dynamic
 from .graphs import degree_stats, generate
 from .greedy import greedy_r_dynamic
-from .sublists import _sorted_sample, dynamic_coloring_via_sublists
+from .sublists import _list_sizes, _sorted_sample, dynamic_coloring_via_sublists
 
 
 def random_list_assignment(n, size, universe, rng):
@@ -60,6 +60,8 @@ def experiment_random_graphs(
     _check_r(r, 2 if mode == "lll" else 1)
     if mode == "exact":
         _check_cap(n, max_n)
+    elif mode == "lll":
+        _list_sizes(r, sublist_size, slack)  # the given sizes, before any trial
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
@@ -103,9 +105,7 @@ def experiment_random_graphs(
             if stats.min_degree < r:
                 rec["status"] = "skipped_low_degree"
             else:
-                sub = sublist_size if sublist_size is not None else stats.max_degree + 1
-                sl = slack if slack is not None else r - 1
-                base = sub + sl + r - 2
+                sub, _, base = _list_sizes(r, sublist_size or stats.max_degree + 1, slack)
                 lists = random_list_assignment(g.n, base, 2 * base, rng)
                 # drawn after the lists, not from master, so the sublists are
                 # independent of the lists and later trials keep their seeds

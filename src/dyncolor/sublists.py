@@ -32,7 +32,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import _check_len, _check_r, _is_color, _normalize_lists, _proper_list_coloring, is_r_dynamic
+from .coloring import _check_len, _check_r, _check_slack, _is_color, _normalize_lists
+from .coloring import _proper_list_coloring, is_r_dynamic
 from .graphs import Graph, Hypergraph, degree_stats
 from .transversal import _hit_by_at_most, _mask
 
@@ -41,9 +42,7 @@ from .transversal import _hit_by_at_most, _mask
 class SublistState:
     """Base lists plus the currently drawn sublists and the rng that drew them.
 
-    slack and r are the list-size bookkeeping parameters (base size =
-    sublist_size + slack + r - 2); they stay None when sublists are sampled
-    outside the pipeline and no quota is being tracked.
+    r and slack (base size = sublist_size + slack + r - 2) stay None without r.
     """
 
     base: list
@@ -111,27 +110,48 @@ def _sorted_sample(rng, population, k):
     return tuple(out)
 
 
+def _check_sublist_size(size):
+    if size is None or size < 1:
+        raise ValueError(f"sublist size must be >= 1, got {size}")
+
+
+def _list_sizes(r, sublist_size, slack=None, lists=None):
+    """(sublist_size, slack, base_size) by the rule base = sublist + slack + r - 2.
+
+    Checks a given sublist size >= 1, r >= 2 and slack >= r - 1.  A missing
+    slack or sublist size comes from the base size of lists, which must be
+    uniform, else the slack is r - 1; the sublist size stays None with no list.
+    """
+    if sublist_size is not None:
+        _check_sublist_size(sublist_size)
+    base = None
+    if lists and None in (slack, sublist_size):
+        sizes = {len(t) for t in lists}
+        if len(sizes) != 1:
+            raise ValueError(f"base list sizes are not uniform: {min(sizes)} to {max(sizes)}")
+        base = sizes.pop()
+    if slack is None:
+        slack = r - 1 if base is None or sublist_size is None else base - sublist_size - r + 2
+    _check_slack(slack, r)
+    if sublist_size is None and base is not None:
+        sublist_size = base - slack - r + 2
+        if sublist_size < 1:
+            raise ValueError(f"base list size {base} leaves no sublist at r = {r}, slack {slack}")
+    return sublist_size, slack, None if sublist_size is None else sublist_size + slack + r - 2
+
+
 def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistState:
     """Draw a uniform random sublist of each list, independently per vertex.
 
     Reproducible: the same (lists, sublist_size, seed) give the same draw,
     and the draws are those of Random(seed).sample on each list in turn.
-    Passing r (and optionally slack; it is derived from uniform base sizes
-    otherwise) arms the state for bad-event checks, enforcing r >= 2 and
-    slack >= r - 1.
+    Passing r (>= 2) arms the state for bad-event checks; the slack, derived
+    from uniform base sizes when not given, must be >= r - 1.
     """
-    if sublist_size is None or sublist_size < 1:
-        raise ValueError(f"sublist size must be >= 1, got {sublist_size}")
+    _check_sublist_size(sublist_size)
     base = _normalize_lists(len(lists), lists, floor=sublist_size)
     if r is not None:
-        _check_r(r, 2)
-        if slack is None:
-            sizes = {len(t) for t in base}
-            if len(sizes) != 1:
-                raise ValueError("slack underivable: base list sizes are not uniform")
-            slack = sizes.pop() - sublist_size - r + 2
-        if slack < r - 1:
-            raise ValueError(f"slack {slack} below the floor r-1 = {r - 1}")
+        slack = _list_sizes(r, sublist_size, slack, base)[1]
     elif slack is not None:
         raise ValueError("slack without r is meaningless")
     rng = random.Random(seed)
@@ -215,6 +235,8 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
     r = state.r
     if max_iters is None:
         max_iters = default_max_iters(g, r)
+    elif max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     adj = g.adj
     eligible = [len(nbrs) >= r for nbrs in adj]
     rng, base, size, sublists = state.rng, state.base, state.sublist_size, state.sublists
@@ -269,27 +291,21 @@ def dynamic_coloring_via_sublists(
 ) -> PipelineResult:
     """Full pipeline: sample, resample until clear, then proper-list-color.
 
-    Base lists must share one size, equal to sublist_size + slack + r - 2
-    for some slack >= r - 1, and every vertex needs degree >= r.  On status
-    "ok" the coloring is proper and r-dynamic (re-checked internally; a
-    checker failure would be a bug and raises).  The empty graph has no
-    list to size, so there sublist_size may be None, but a size given must
-    still be legal.
+    Base lists must share one size, sublist_size + slack + r - 2 with a
+    slack >= r - 1, and every vertex needs degree >= r.  On status "ok" the
+    coloring is proper and r-dynamic (re-checked internally; a checker
+    failure would be a bug and raises).  The empty graph has no list to
+    size, so there sublist_size may be None.
     """
     _check_r(r, 2)
     _check_len(g.n, lists, "list assignment")
     if g.n == 0:
-        if sublist_size is not None and sublist_size < 1:
-            raise ValueError(f"sublist size must be >= 1, got {sublist_size}")
-        return PipelineResult(
-            coloring=[],
-            log=ResampleLog(iterations=0, violations_per_sweep=(), status="clear"),
-            status="ok",
-        )
+        _list_sizes(r, sublist_size, lists=lists)  # no list to size; a given size is checked
+        log = ResampleLog(iterations=0, violations_per_sweep=(), status="clear")
+        return PipelineResult(coloring=[], log=log, status="ok")
     min_degree = degree_stats(g).min_degree
     if min_degree < r:
         raise ValueError(f"minimum degree {min_degree} below r = {r}")
-    # derives the slack from the base size, which must be uniform, and checks it
     state = sample_sublists(lists, sublist_size, seed, r=r)
     state, log = resample_until_clear(g, state, max_iters)
     if log.status != "clear":

@@ -1,6 +1,7 @@
 """The exact ValueError text of each input check that no other test reaches:
 the text parsers, the graph and hypergraph builders, the generators, the
-experiment and construction entry points, and the CLI's lll list sizes.
+experiment and construction entry points, the sublist size rule of the lll
+pipeline and its resampling cap.
 """
 
 from __future__ import annotations
@@ -9,15 +10,28 @@ import pytest
 
 from dyncolor import (
     augment,
+    build_graph,
     build_hypergraph,
+    dynamic_coloring_via_sublists,
     experiment_random_graphs,
     generate,
     parse_coloring,
     parse_graph,
     parse_hypergraph,
     parse_lists,
+    resample_until_clear,
+    sample_sublists,
 )
 from dyncolor.cli import main
+
+TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+MIXED_LISTS = [[1, 2], [1, 2, 3], [1, 2]]
+
+
+def _lll_experiment(**sizes):
+    # every trial of this config is skipped_low_degree (see test_lll_sizes_checked_before_any_trial)
+    return experiment_random_graphs(n=6, p=0.2, r=3, trials=2, seed=1, mode="lll", **sizes)
+
 
 CASES = [
     ("graph-counts", lambda: parse_graph("p edge x 1\n"),
@@ -63,6 +77,15 @@ CASES = [
      "n must be >= 1, got 0"),
     ("augment-empty", lambda: augment(build_hypergraph(0, []), 2, 2, 0),
      "base hypergraph needs at least one vertex"),
+    ("pipeline-mixed-sizes", lambda: dynamic_coloring_via_sublists(TRIANGLE, MIXED_LISTS, 1, 2, 0),
+     "base list sizes are not uniform: 2 to 3"),
+    ("experiment-lll-slack", lambda: _lll_experiment(slack=0),
+     "slack 0 below the floor r-1 = 2"),
+    ("experiment-lll-sublist-size", lambda: _lll_experiment(sublist_size=0),
+     "sublist size must be >= 1, got 0"),
+    ("resample-max-iters",
+     lambda: resample_until_clear(TRIANGLE, sample_sublists([[1, 2, 3]] * 3, 1, 0, r=2), -5),
+     "max_iters must be >= 0, got -5"),
 ]
 
 
@@ -73,13 +96,56 @@ def test_input_error_text(call, message):
     assert str(info.value) == message
 
 
-def test_cli_lll_needs_uniform_list_sizes(tmp_path, capsys):
+def _solve_lll(tmp_path, capsys, graph_text, lists_text, *extra):
     graph = tmp_path / "g.txt"
-    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n", encoding="utf-8")
+    graph.write_text(graph_text, encoding="utf-8")
     lists = tmp_path / "l.json"
-    lists.write_text('{"0": [1, 2], "1": [1, 2, 3], "2": [1, 2]}', encoding="utf-8")
-    argv = ["solve", "--graph", str(graph), "--lists", str(lists), "--mode", "lll", "--r", "2"]
+    lists.write_text(lists_text, encoding="utf-8")
+    argv = ["solve", "--graph", str(graph), "--lists", str(lists), "--mode", "lll", *extra]
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: lll mode needs uniform base list sizes\n"
+    return captured.err
+
+
+def test_cli_lll_needs_uniform_list_sizes(tmp_path, capsys):
+    # the text of the API on the same lists (case pipeline-mixed-sizes)
+    err = _solve_lll(
+        tmp_path, capsys, "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+        '{"0": [1, 2], "1": [1, 2, 3], "2": [1, 2]}', "--r", "2",
+    )
+    assert err == "error: base list sizes are not uniform: 2 to 3\n"
+
+
+def test_cli_lll_default_sublist_size_below_one(tmp_path, capsys):
+    # K_4 with 2-color lists at r = 3: the default size 2 - 2r + 3 is -1
+    k4 = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
+    lists = '{"0": [1, 2], "1": [1, 2], "2": [1, 2], "3": [1, 2]}'
+    err = _solve_lll(tmp_path, capsys, k4, lists, "--r", "3")
+    assert err == "error: base list size 2 leaves no sublist at r = 3, slack 2\n"
+
+
+def test_cli_lll_negative_max_iters(tmp_path, capsys):
+    c4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
+    lists = '{"0": [1, 5, 6], "1": [1, 2, 6], "2": [1, 5, 7], "3": [2, 6, 9]}'
+    err = _solve_lll(tmp_path, capsys, c4, lists, "--r", "2", "--max-iters", "-5")
+    assert err == "error: max_iters must be >= 0, got -5\n"
+
+
+def test_max_iters_zero_checks_without_resampling():
+    state = sample_sublists([[1, 2, 3]] * 3, 2, 0, r=2)
+    drawn = list(state.sublists)
+    state, log = resample_until_clear(TRIANGLE, state, 0)
+    assert (log.status, log.iterations, state.sublists) == ("cap_reached", 0, drawn)
+
+
+def test_lll_sizes_checked_before_any_trial(capsys):
+    assert _lll_experiment()["summary"]["attempted"] == 0  # no trial runs
+    base = ["experiment", "--n", "6", "--p", "0.2", "--r", "3", "--trials", "2", "--seed", "1"]
+    for flag, message in (
+        ("--slack", "slack 0 below the floor r-1 = 2"),
+        ("--sublist-size", "sublist size must be >= 1, got 0"),
+    ):
+        code = main(base + ["--mode", "lll", flag, "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

@@ -24,7 +24,7 @@ from dyncolor import (
     sublist_condition_lhs,
 )
 from dyncolor import coloring as coloring_mod, sublists as sublists_mod
-from dyncolor.sublists import _sorted_sample
+from dyncolor.sublists import _list_sizes, _sorted_sample
 
 from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
 
@@ -61,6 +61,23 @@ def test_sample_sublists_slack_bookkeeping():
         sample_sublists([[1, 2]], 3, seed=0)  # sublist bigger than list
     with pytest.raises(ValueError):
         sample_sublists([[1, 2]], 0, seed=0)
+
+
+def test_list_sizes_derive_what_is_missing():
+    # base = sublist + slack + r - 2, the slack r - 1 unless it is derived
+    nine = [tuple(range(1, 10))] * 4
+    assert _list_sizes(3, None, lists=nine) == (6, 2, 9)  # solve's default
+    assert _list_sizes(3, 4) == (4, 2, 7)  # experiment's base size
+    assert _list_sizes(3, 4, slack=5) == (4, 5, 10)
+    assert _list_sizes(3, 4, lists=nine) == (4, 4, 9)  # the slack from the lists
+    assert _list_sizes(2, 2, slack=1, lists=[(1, 2, 3), (1, 2, 3, 4)]) == (2, 1, 3)  # not read
+    assert _list_sizes(2, None, lists=[]) == (None, 1, None)  # no list to size
+    with pytest.raises(ValueError, match="^sublist size must be >= 1, got 0$"):
+        _list_sizes(2, 0, lists=[])
+    with pytest.raises(ValueError, match="^r must be >= 2, got 1$"):
+        _list_sizes(1, 4)
+    with pytest.raises(ValueError, match="^slack 1 below the floor r-1 = 2$"):
+        _list_sizes(3, 7, lists=nine)
 
 
 def test_sample_sublists_uniform_single_draws():
