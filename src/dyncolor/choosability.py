@@ -5,8 +5,8 @@ A graph is k-choosable when every assignment of k-color lists admits a
 valid coloring.  In proper mode only, `is_k_choosable` decides in this
 order:
 
-- the k-core, what is left after deleting vertices of degree below k over
-  and over: such a vertex can always be colored last (Erdos, Rubin and
+- the k-core, from the core numbers of one O(n + m) peel in `graphs`: a
+  vertex of degree below k can always be colored last (Erdos, Rubin and
   Taylor, 1979, "Choosability in graphs"), so the graph is k-choosable iff
   each component of its core is.  An empty core, k > degeneracy, is True;
 - per component at k = 2, Erdos-Rubin-Taylor: a connected 2-core is
@@ -45,7 +45,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import _check_cap, _constraints
-from .graphs import Graph, Hypergraph, bipartition, build_graph
+from .graphs import Graph, Hypergraph, _core_numbers, bipartition, build_graph
 
 MET = None  # the status of a hyperedge that already has its need
 
@@ -70,9 +70,7 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
 
 def _core_components(g, k):
     """The connected components of g's k-core, each relabelled 0..n'-1."""
-    core = set(range(g.n))
-    while low := {v for v in core if len(g.adj[v] & core) < k}:
-        core -= low
+    core = {v for v, c in enumerate(_core_numbers(g)) if c >= k}
     while core:
         comp, todo = set(), [core.pop()]
         while todo:

@@ -12,7 +12,7 @@ import random
 from .coloring import _check_cap, _check_r, chi_exact, is_r_dynamic
 from .graphs import degree_stats, generate
 from .greedy import greedy_r_dynamic
-from .sublists import _list_sizes, _sorted_sample, dynamic_coloring_via_sublists
+from .sublists import _check_max_iters, _list_sizes, _sorted_sample, dynamic_coloring_via_sublists
 
 
 def random_list_assignment(n, size, universe, rng):
@@ -61,7 +61,8 @@ def experiment_random_graphs(
     if mode == "exact":
         _check_cap(n, max_n)
     elif mode == "lll":
-        _list_sizes(r, sublist_size, slack)  # the given sizes, before any trial
+        _list_sizes(r, sublist_size, slack)  # the given sizes and cap, before any trial
+        _check_max_iters(max_iters)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 

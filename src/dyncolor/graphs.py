@@ -1,4 +1,4 @@
-"""Core graph and hypergraph types, generators, and structural helpers."""
+"""Graph and hypergraph types, generators, and structural helpers: core numbers by one O(n + m) peel."""
 
 from __future__ import annotations
 
@@ -257,19 +257,28 @@ def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
 
 
+def _core_numbers(g: Graph) -> list:
+    """Every vertex's core number, by one min-degree peel in O(n + m).
+
+    Lazy bins indexed by degree, scanned upward (Batagelj and Zaversnik 2003).
+    """
+    deg = [len(nbrs) for nbrs in g.adj]
+    bins = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        bins[d].append(v)
+    for level, vs in enumerate(bins):
+        for v in vs:  # vs grows as neighbors drop to this level
+            if deg[v] == level:  # v leaves; a stale entry's degree moved on
+                for w in g.adj[v]:
+                    if deg[w] > level:
+                        deg[w] -= 1
+                        bins[deg[w]].append(w)
+    return deg
+
+
 def degeneracy(g: Graph) -> int:
     """Max over the min-degree peeling order of the degree at removal time."""
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
-    worst = 0
-    while remaining:
-        v = min(remaining, key=lambda u: (deg[u], u))
-        worst = max(worst, deg[v])
-        remaining.remove(v)
-        for w in g.adj[v]:
-            if w in remaining:
-                deg[w] -= 1
-    return worst
+    return max(_core_numbers(g), default=0)
 
 
 def is_k_degenerate(g: Graph, k) -> bool:

@@ -115,6 +115,11 @@ def _check_sublist_size(size):
         raise ValueError(f"sublist size must be >= 1, got {size}")
 
 
+def _check_max_iters(max_iters):
+    if max_iters is not None and max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+
+
 def _list_sizes(r, sublist_size, slack=None, lists=None):
     """(sublist_size, slack, base_size) by the rule base = sublist + slack + r - 2.
 
@@ -213,8 +218,7 @@ def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
 
 
 def default_max_iters(g: Graph, r) -> int:
-    stats = degree_stats(g)
-    return math.ceil(10 * g.n * (r - 1) * math.log(max(stats.max_degree, 2)))
+    return math.ceil(10 * g.n * (r - 1) * math.log(max(max(map(len, g.adj), default=0), 2)))
 
 
 def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
@@ -233,10 +237,9 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
     """
     _check_state(g, state)
     r = state.r
+    _check_max_iters(max_iters)
     if max_iters is None:
         max_iters = default_max_iters(g, r)
-    elif max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     adj = g.adj
     eligible = [len(nbrs) >= r for nbrs in adj]
     rng, base, size, sublists = state.rng, state.base, state.sublist_size, state.sublists

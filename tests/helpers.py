@@ -178,6 +178,36 @@ def oracle_is_k_choosable(x, k, mode="proper", r=0):
     return fill(0, 0)
 
 
+def oracle_degeneracy(g):
+    """Max over the min-degree peeling order of the degree at removal time.
+
+    Each step takes the remaining vertex of least degree by a min over a
+    set, so O(n^2), independent of the package's bucket peel.
+    """
+    remaining = set(range(g.n))
+    deg = {v: g.degree(v) for v in remaining}
+    worst = 0
+    while remaining:
+        v = min(remaining, key=lambda u: (deg[u], u))
+        worst = max(worst, deg[v])
+        remaining.remove(v)
+        for w in g.adj[v]:
+            if w in remaining:
+                deg[w] -= 1
+    return worst
+
+
+def oracle_k_core(g, k):
+    """The vertex set of g's k-core, peeled in rounds.
+
+    Each round removes at once every vertex with fewer than k neighbors left.
+    """
+    core = set(range(g.n))
+    while low := {v for v in core if len(g.adj[v] & core) < k}:
+        core -= low
+    return core
+
+
 def oracle_strong_chi(h, r):
     if h.n == 0:
         return 0

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dyncolor import build_graph, build_hypergraph, choosability, generate, is_k_choosable
-from dyncolor.choosability import _all_lists_colorable, _orientable
-from .helpers import oracle_gnp, oracle_is_k_choosable
+from dyncolor.choosability import _all_lists_colorable, _core_components, _orientable
+from .helpers import oracle_gnp, oracle_is_k_choosable, oracle_k_core
 
 
 def list_size(draw, n):
@@ -273,6 +273,35 @@ def test_vertices_of_degree_below_k_change_nothing(case):
         assert is_k_choosable(bigger, k) is is_k_choosable(g, k)
     for c in seen:
         assert connected(c) and min(len(a) for a in c.adj) >= k
+
+
+def oracle_core_components(g, k):
+    """The components of the round-peeled k-core, each relabelled by sorted id."""
+    core, comps = oracle_k_core(g, k), []
+    while core:
+        comp, todo = set(), [min(core)]
+        while todo:
+            v = todo.pop()
+            if v in core:
+                core.remove(v)
+                comp.add(v)
+                todo += g.adj[v]
+        name = {v: i for i, v in enumerate(sorted(comp))}
+        comps.append(build_graph(len(comp), [(name[u], name[w]) for u, w in g.edges if u in comp and w in comp]))
+    return comps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=10),
+    data=st.data(),
+    k=st.integers(min_value=1, max_value=5),
+)
+def test_core_components_match_the_round_peel(n, data, k):
+    pairs = list(itertools.combinations(range(n), 2))
+    g = build_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    got = sorted((c.n, c.edges) for c in _core_components(g, k))
+    assert got == sorted((c.n, c.edges) for c in oracle_core_components(g, k))
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyncolor import (
     bipartition,
@@ -22,7 +22,7 @@ from dyncolor import (
 )
 from dyncolor import graphs as graphs_module
 
-from .helpers import oracle_build_graph, oracle_gnp, oracle_gnp_skip
+from .helpers import oracle_build_graph, oracle_degeneracy, oracle_gnp, oracle_gnp_skip, oracle_k_core
 
 
 @st.composite
@@ -265,6 +265,27 @@ def test_degeneracy():
     assert degeneracy(generate("complete", n=4)) == 3
     assert is_k_degenerate(generate("cycle", n=6), 2)
     assert not is_k_degenerate(generate("cycle", n=6), 1)
+
+
+def test_degeneracy_of_the_empty_graph():
+    empty = build_graph(0, [])
+    assert degeneracy(empty) == 0
+    assert is_k_degenerate(empty, 0)
+
+
+# vertex 5 starts in the bin of degree 3 and leaves at level 1; its entry at
+# level 3 is stale, and must not lower vertex 0 out of the 4-core (K_5)
+STALE_ENTRY = build_graph(8, [*generate("complete", n=5).edges, (0, 5), (5, 6), (5, 7)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=12))
+@example(STALE_ENTRY)
+def test_core_numbers_match_the_peel_oracles(g):
+    core = graphs_module._core_numbers(g)
+    assert degeneracy(g) == oracle_degeneracy(g)
+    for k in range(7):
+        assert {v for v in range(g.n) if core[v] >= k} == oracle_k_core(g, k)
 
 
 @given(graphs())

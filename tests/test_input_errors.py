@@ -83,6 +83,8 @@ CASES = [
      "slack 0 below the floor r-1 = 2"),
     ("experiment-lll-sublist-size", lambda: _lll_experiment(sublist_size=0),
      "sublist size must be >= 1, got 0"),
+    ("experiment-lll-max-iters", lambda: _lll_experiment(max_iters=-5),
+     "max_iters must be >= 0, got -5"),
     ("resample-max-iters",
      lambda: resample_until_clear(TRIANGLE, sample_sublists([[1, 2, 3]] * 3, 1, 0, r=2), -5),
      "max_iters must be >= 0, got -5"),
@@ -149,3 +151,10 @@ def test_lll_sizes_checked_before_any_trial(capsys):
         code = main(base + ["--mode", "lll", flag, "0"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_lll_max_iters_checked_before_any_trial(capsys):
+    argv = ["experiment", "--n", "6", "--p", "0.2", "--r", "3", "--trials", "2", "--seed", "1"]
+    code = main(argv + ["--mode", "lll", "--max-iters", "-5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: max_iters must be >= 0, got -5\n")

@@ -233,6 +233,16 @@ def test_default_max_iters():
     assert default_max_iters(build_graph(2, [(0, 1)]), 2) == math.ceil(20 * math.log(2))
 
 
+def test_empty_graph_resamples_under_the_default_cap():
+    # the default cap reads the maximum degree without degree_stats, which
+    # rejects the empty graph; n = 0 gives a cap of 0
+    empty = build_graph(0, [])
+    assert default_max_iters(empty, 2) == 0
+    for max_iters in (None, 3):
+        state, log = resample_until_clear(empty, sample_sublists([], 1, 0, r=2), max_iters)
+        assert (log.status, log.iterations, state.sublists) == ("clear", 0, [])
+
+
 # --- resampling -------------------------------------------------------------
 
 def test_resample_clear_immediately():

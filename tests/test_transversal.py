@@ -38,6 +38,11 @@ def test_candidate_family_two_disjoint_pairs():
     ]
 
 
+def test_candidate_family_len_and_iter():
+    fam = candidate_family(build_hypergraph(4, [{0, 1}, {2, 3}]), 2)
+    assert len(fam) == 4 and list(fam) == list(fam.sets)
+
+
 def test_candidate_family_shared_vertex():
     h = build_hypergraph(3, [{0, 1}, {1, 2}])
     fam = candidate_family(h, 2)
