@@ -25,6 +25,8 @@ projected onto the boundary, memoized up to color renaming.
 
 from __future__ import annotations
 
+import operator
+
 from .graphs import Graph, Hypergraph
 
 
@@ -55,11 +57,21 @@ def _check_cap(n, max_n, name="n"):
 
 
 def _normalize_lists(n, lists, floor=1):
-    """Each list as a sorted tuple of distinct colors, at least floor of them."""
+    """Each list as a sorted tuple of distinct colors, at least floor of them.
+
+    A strictly ascending tuple is one already and comes back as the same
+    object; it is hashed once, so unhashable colors raise TypeError as set()
+    would.  Any other value becomes tuple(sorted(set(colors))).  Drawn and
+    parsed lists are such tuples, so normalizing them again is one pass in C.
+    """
     _check_len(n, lists, "list assignment")
     out = []
     for v, colors in enumerate(lists):
-        t = tuple(sorted(set(colors)))
+        if type(colors) is tuple and all(map(operator.lt, colors, colors[1:])):
+            hash(colors)
+            t = colors
+        else:
+            t = tuple(sorted(set(colors)))
         if len(t) < floor:
             raise ValueError(f"list at vertex {v} has {len(t)} colors, needs >= {floor}")
         out.append(t)
@@ -78,9 +90,20 @@ def _meets(edges, coloring, r):
 
 
 def is_r_dynamic(g: Graph, coloring, r) -> bool:
-    """Proper, and every vertex sees min(r, d(v)) distinct neighbor colors."""
+    """Proper, and every vertex sees min(r, d(v)) distinct neighbor colors.
+
+    One walk of the neighborhoods decides both: v's color must be missing
+    from the set of its neighbors' colors, which must hold min(r, d(v))
+    colors.  So colors must be hashable, and two colors clash when a set
+    finds one as the other: equal, or the same object, as one NaN is.
+    """
     _check_r(r, 1)
-    return is_proper(g, coloring) and _meets(g.adj, coloring, r)
+    _check_len(g.n, coloring, "coloring")
+    for v, nbrs in enumerate(g.adj):
+        seen = {coloring[u] for u in nbrs}
+        if coloring[v] in seen or len(seen) < min(r, len(nbrs)):
+            return False
+    return True
 
 
 def is_r_strong(h: Hypergraph, coloring, r) -> bool:

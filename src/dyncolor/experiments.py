@@ -12,19 +12,21 @@ import random
 from .coloring import _check_cap, _check_r, chi_exact, is_r_dynamic
 from .graphs import degree_stats, generate
 from .greedy import greedy_r_dynamic
-from .sublists import _check_max_iters, _list_sizes, _sorted_sample, dynamic_coloring_via_sublists
+from .sublists import _check_max_iters, _list_sizes, _sorted_sampler, dynamic_coloring_via_sublists
 
 
 def random_list_assignment(n, size, universe, rng):
     """n independent uniform size-subsets of {1..universe}, as sorted tuples.
 
-    The draws are those of rng.sample(range(1, universe + 1), size), one
-    call per vertex, so a seeded rng always gives the same lists.
+    The draws are those of one rng.sample(range(1, universe + 1), size)
+    call per vertex, made by one sampler for all n, so a seeded rng always
+    gives the same lists.
     """
     if universe < size:
         raise ValueError(f"universe {universe} smaller than list size {size}")
     pool = range(1, universe + 1)
-    return [_sorted_sample(rng, pool, size) for _ in range(n)]
+    draw = _sorted_sampler(rng, size)
+    return [draw(pool) for _ in range(n)]
 
 
 def experiment_random_graphs(

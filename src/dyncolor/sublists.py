@@ -24,6 +24,12 @@ first time a sublist holds it, so colors may be any orderable values, and
 only the masks of redrawn sublists are rebuilt.  At r = 2 that search is a
 single running AND of the neighbor masks, written out in the loop.  The
 candidate family of the transversal module is not built on this path.
+
+Every draw is that of Random.sample, sorted.  Each call that draws
+(`sample_sublists`, `resample_until_clear` and the experiments'
+`random_list_assignment`) builds one sampler, `_sorted_sampler`, which
+works out Random.sample's choice between its pool and set branches and the
+tries of each list length once, not once per draw.
 """
 
 from __future__ import annotations
@@ -84,30 +90,49 @@ class PipelineResult:
     status: str
 
 
-def _sorted_sample(rng, population, k):
-    """tuple(sorted(rng.sample(population, k))), from the same draws.
+def _sorted_sampler(rng, k):
+    """draw(population) = tuple(sorted(rng.sample(population, k))), from the same draws.
 
-    rng ends in the same state.  The pool branch of Random.sample is inlined;
-    its set branch, subclasses of Random and an invalid k use rng.sample.
+    Each draw leaves rng in the state rng.sample would.  The pool branch of
+    Random.sample is inlined: the drawn item moves past the live slots, so
+    the last k slots hold the sample.  Its set-branch threshold and the tries
+    (m, m.bit_length()) of each population size are worked out once per
+    sampler; the set branch, subclasses of Random and an invalid k use
+    rng.sample.
     """
-    n = len(population)
+    if type(rng) is not random.Random:
+        return lambda population: tuple(sorted(rng.sample(population, k)))
     # Random.sample's threshold between its pool and its set branch
     setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    if type(rng) is not random.Random or n > setsize or not 0 <= k <= n:
-        return tuple(sorted(rng.sample(population, k)))
     getrandbits = rng.getrandbits
-    pool = list(population)
-    out = []
-    for m in range(n, n - k, -1):
-        # one getrandbits call per try, as Random._randbelow makes them
-        bits = m.bit_length()
-        j = getrandbits(bits)
-        while j >= m:
+    tries = {}  # population size -> its tries, or None where rng.sample draws
+
+    def draw(population):
+        n = len(population)
+        if n not in tries:
+            inline = 0 <= k <= n <= setsize
+            tries[n] = [(m, m.bit_length()) for m in range(n, n - k, -1)] if inline else None
+        steps = tries[n]
+        if steps is None:
+            return tuple(sorted(rng.sample(population, k)))
+        pool = list(population)
+        for m, bits in steps:
+            # one getrandbits call per try, as Random._randbelow makes them
             j = getrandbits(bits)
-        out.append(pool[j])
-        pool[j] = pool[m - 1]
-    out.sort()
-    return tuple(out)
+            while j >= m:
+                j = getrandbits(bits)
+            m -= 1
+            pool[j], pool[m] = pool[m], pool[j]
+        out = pool[n - k:]
+        out.sort()
+        return tuple(out)
+
+    return draw
+
+
+def _sorted_sample(rng, population, k):
+    """tuple(sorted(rng.sample(population, k))), from the same draws."""
+    return _sorted_sampler(rng, k)(population)
 
 
 def _check_sublist_size(size):
@@ -160,7 +185,8 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     elif slack is not None:
         raise ValueError("slack without r is meaningless")
     rng = random.Random(seed)
-    sub = [_sorted_sample(rng, t, sublist_size) for t in base]
+    draw = _sorted_sampler(rng, sublist_size)
+    sub = [draw(t) for t in base]
     return SublistState(
         base=base,
         sublists=sub,
@@ -242,7 +268,8 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         max_iters = default_max_iters(g, r)
     adj = g.adj
     eligible = [len(nbrs) >= r for nbrs in adj]
-    rng, base, size, sublists = state.rng, state.base, state.sublist_size, state.sublists
+    base, sublists = state.base, state.sublists
+    draw = _sorted_sampler(state.rng, state.sublist_size)
     bits = {}
     masks = [_mask(sub, bits) for sub in sublists]
     violated = set()
@@ -277,7 +304,7 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         centre = sweep[0]
         touched = set()
         for w in sorted(adj[centre]):
-            sub = sublists[w] = _sorted_sample(rng, base[w], size)
+            sub = sublists[w] = draw(base[w])
             masks[w] = _mask(sub, bits)
             touched |= adj[w]
         state.draws += len(adj[centre])

@@ -17,9 +17,21 @@ from dyncolor import (
     neighborhood_color_hypergraph,
     solve_list_coloring,
 )
-from dyncolor.coloring import _check_r, _normalize_lists
+from dyncolor.coloring import _check_len, _check_r
 from dyncolor.graphs import Graph, degree_stats
 from dyncolor.sublists import ResampleLog
+
+
+def oracle_normalize_lists(n, lists, floor=1):
+    """_normalize_lists as first written: every list through set and sorted."""
+    _check_len(n, lists, "list assignment")
+    out = []
+    for v, colors in enumerate(lists):
+        t = tuple(sorted(set(colors)))
+        if len(t) < floor:
+            raise ValueError(f"list at vertex {v} has {len(t)} colors, needs >= {floor}")
+        out.append(t)
+    return out
 
 
 def oracle_valid(g, coloring, r=0):
@@ -296,7 +308,7 @@ def oracle_greedy_r_dynamic(g, lists, r, order=None):
     _check_r(r, 1)
     if g.n == 0:
         return []
-    norm = _normalize_lists(g.n, lists, floor=r * degree_stats(g).max_degree + 1)
+    norm = oracle_normalize_lists(g.n, lists, floor=r * degree_stats(g).max_degree + 1)
     if order is None:
         order = range(g.n)
     order = list(order)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from .helpers import (
     oracle_chi,
     oracle_first_coloring,
     oracle_list_colorings,
+    oracle_normalize_lists,
     oracle_strong_chi,
     oracle_valid,
     random_lists,
@@ -95,6 +97,82 @@ def test_is_r_strong():
 def test_all_distinct_coloring_is_r_dynamic(n, r):
     g = generate("gnp", seed=n * 10 + r, n=n, p=0.5)
     assert is_r_dynamic(g, list(range(1, n + 1)), r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_graphs(), st.integers(min_value=1, max_value=4), st.data())
+def test_is_r_dynamic_matches_oracle(case, r, data):
+    g = case[0]
+    coloring = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=g.n, max_size=g.n))
+    assert is_r_dynamic(g, coloring, r) == oracle_valid(g, coloring, r)
+
+
+def test_is_r_dynamic_compares_colors_as_a_set_does():
+    # one walk of the neighborhoods puts every color in a set: unhashable
+    # colors raise on an improper coloring too, and a NaN object matches itself
+    g = build_graph(2, [(0, 1)])
+    with pytest.raises(TypeError):
+        is_r_dynamic(g, [[1], [1]], 1)
+    nan = float("nan")
+    assert not is_r_dynamic(g, [nan, nan], 1)
+    assert is_r_dynamic(g, [nan, float("nan")], 1)
+    assert is_proper(g, [nan, nan])  # is_proper compares with !=
+
+
+# --- list normalization ----------------------------------------------------
+
+@st.composite
+def color_collections(draw):
+    # ints mixed with bools, so that (0, True)-style lists occur
+    colors = draw(st.lists(st.one_of(st.integers(min_value=-3, max_value=6), st.booleans()), max_size=6))
+    kind = draw(st.sampled_from(["ascending", "repeated", "descending", "tuple", "list", "set", "range"]))
+    if kind == "ascending":
+        return tuple(sorted(set(colors)))
+    if kind == "repeated":
+        return tuple(sorted(colors + colors))
+    if kind == "descending":
+        return tuple(sorted(set(colors), reverse=True))
+    if kind == "tuple":
+        return tuple(colors)
+    if kind == "list":
+        return colors
+    if kind == "set":
+        return set(colors)
+    start, stop = draw(st.integers(min_value=-3, max_value=6)), draw(st.integers(min_value=-3, max_value=6))
+    return range(start, stop, draw(st.sampled_from([1, 2, -1, -3])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(color_collections(), max_size=5), st.integers(min_value=0, max_value=4))
+def test_normalize_lists_matches_oracle(lists, floor):
+    try:
+        want = oracle_normalize_lists(len(lists), lists, floor)
+    except ValueError as exc:  # a list below the floor
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _normalize_lists(len(lists), lists, floor)
+        return
+    got = _normalize_lists(len(lists), lists, floor)
+    assert repr(got) == repr(want)  # repr tells True from 1
+    for t, out in zip(lists, got):
+        if type(t) is tuple and repr(t) == repr(out):
+            assert out is t  # a list already in normal form is passed through
+
+
+def test_normalize_lists_passes_normal_tuples_through():
+    t = (1, 2, 5)
+    assert _normalize_lists(1, [t])[0] is t
+    assert _normalize_lists(3, [(0, True), (True, 1), (2, 1)]) == [(0, True), (True,), (1, 2)]
+
+    class Colors(tuple):
+        pass
+
+    got = _normalize_lists(1, [Colors((1, 2))])[0]
+    assert type(got) is tuple and got == (1, 2)
+    # unhashable colors raise as set() does, also in an ascending tuple
+    with pytest.raises(TypeError):
+        _normalize_lists(1, [([1], [2])])
+    with pytest.raises(ValueError, match="list at vertex 0 has 2 colors, needs >= 3"):
+        _normalize_lists(1, [(1, 2)], floor=3)
 
 
 # --- exact chi -------------------------------------------------------------

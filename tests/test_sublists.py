@@ -24,7 +24,7 @@ from dyncolor import (
     sublist_condition_lhs,
 )
 from dyncolor import coloring as coloring_mod, sublists as sublists_mod
-from dyncolor.sublists import _list_sizes, _sorted_sample
+from dyncolor.sublists import _list_sizes, _sorted_sample, _sorted_sampler
 
 from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
 
@@ -134,6 +134,28 @@ def test_sorted_sample_both_branches_of_sample(size, k, set_branch):
         _assert_same_as_sample(random.Random, seed, range(1, size + 1), k)
         _assert_same_as_sample(random.Random, seed, tuple(range(size, 0, -1)), k)
         _assert_same_as_sample(_CoarseRandom, seed, range(1, size + 1), k)
+
+
+@pytest.mark.parametrize("rng_type", [random.Random, _CoarseRandom])
+def test_sorted_sampler_draws_as_random_sample_across_sizes(rng_type):
+    # one sampler keeps the tries of each population size; at k = 6 sizes up
+    # to 85 take the pool branch of Random.sample and 86 its set branch
+    assert not _sample_set_branch(85, 6) and _sample_set_branch(86, 6)
+    sizes = [85, 86, 6, 85, 5, 200, 86, 22, 0, 7, 85]
+    for seed in range(5):
+        ours, theirs = rng_type(seed), rng_type(seed)
+        draw = _sorted_sampler(ours, 6)
+        for i, size in enumerate(sizes):
+            population = range(1, size + 1) if i % 2 else tuple(range(3 * size, 0, -3))
+            if size < 6:
+                with pytest.raises(ValueError) as got:
+                    draw(population)
+                with pytest.raises(ValueError) as want:
+                    theirs.sample(population, 6)
+                assert str(got.value) == str(want.value)
+            else:
+                assert draw(population) == tuple(sorted(theirs.sample(population, 6)))
+            assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("k", [-1, 6, 40])
