@@ -43,10 +43,7 @@ def _load(args):
 def _cmd_check(args):
     g = _load(args)
     c = io.parse_coloring(_read(args.coloring), g.n)
-    if args.mode == "proper":
-        valid = coloring.is_proper(g, c)
-    else:
-        valid = coloring.is_r_dynamic(g, c, args.r)
+    valid = coloring._valid(g, args.mode, args.r, c)
     _emit({"command": "check", "mode": args.mode, "r": args.r, "valid": valid})
     return 0 if valid else 1
 
@@ -63,7 +60,8 @@ def _cmd_solve(args):
     elif args.mode == "greedy":
         out["coloring"] = greedy.greedy_r_dynamic(g, lists, args.r)
     else:  # lll
-        sub = sublists._list_sizes(args.r, args.sublist_size, lists=lists)[0]  # default: slack r-1
+        max_degree = max(map(len, g.adj), default=None)  # none on the empty graph
+        sub = sublists._list_sizes(args.r, args.sublist_size, lists=lists, max_degree=max_degree)[0]
         result = sublists.dynamic_coloring_via_sublists(
             g, lists, sub, args.r, seed=args.seed, max_iters=args.max_iters
         )
@@ -158,7 +156,7 @@ def build_parser():
         "--sublist-size",
         type=int,
         default=None,
-        help="lll sublist size; default leaves slack r-1 (base size - 2r + 3)",
+        help="lll sublist size; default min(max degree + 1, base size - 2r + 3)",
     )
     s.set_defaults(func=_cmd_solve)
 

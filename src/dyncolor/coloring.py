@@ -1,9 +1,9 @@
 """Exact coloring predicates and desk-scale solvers.
 
-Every solver here runs one search engine, `_search`, on the constraints that
-`_constraints` builds for a graph in proper or dynamic mode or a hypergraph
-in strong mode.  That builder is the one place a mode becomes constraints,
-and its docstring states the rule.
+Every solver here runs one search engine, `_search`, and every checker one
+walk, `_valid`, on the constraints that `_constraints` builds for a graph in
+proper or dynamic mode or a hypergraph in strong mode.  That builder is the
+one place a mode becomes constraints, and its docstring states the rule.
 Vertices go by the number of edges containing them, descending, ties by id
 (on graphs: by degree); colors ascend through each vertex's list, or through
 1..k in first-use order.  The exact chromatic numbers are the least k at
@@ -80,37 +80,36 @@ def _normalize_lists(n, lists, floor=1):
 
 def is_proper(g: Graph, coloring) -> bool:
     """True when no edge joins two equal colors."""
-    _check_len(g.n, coloring, "coloring")
-    return all(coloring[u] != coloring[v] for u, v in g.edges)
-
-
-def _meets(edges, coloring, r):
-    """True when every edge e carries min(r, |e|) distinct colors."""
-    return all(len({coloring[v] for v in e}) >= min(r, len(e)) for e in edges)
+    return _valid(g, "proper", 0, coloring)
 
 
 def is_r_dynamic(g: Graph, coloring, r) -> bool:
-    """Proper, and every vertex sees min(r, d(v)) distinct neighbor colors.
-
-    One walk of the neighborhoods decides both: v's color must be missing
-    from the set of its neighbors' colors, which must hold min(r, d(v))
-    colors.  So colors must be hashable, and two colors clash when a set
-    finds one as the other: equal, or the same object, as one NaN is.
-    """
-    _check_r(r, 1)
-    _check_len(g.n, coloring, "coloring")
-    for v, nbrs in enumerate(g.adj):
-        seen = {coloring[u] for u in nbrs}
-        if coloring[v] in seen or len(seen) < min(r, len(nbrs)):
-            return False
-    return True
+    """Proper, and every vertex sees min(r, d(v)) distinct neighbor colors."""
+    return _valid(g, "dynamic", r, coloring)
 
 
 def is_r_strong(h: Hypergraph, coloring, r) -> bool:
     """Every edge carries min(r, |e|) distinct colors; properness not required."""
-    _check_r(r, 1)
-    _check_len(h.n, coloring, "coloring")
-    return _meets(h.edges, coloring, r)
+    return _valid(h, "strong", r, coloring)
+
+
+def _valid(x, mode, r, coloring):
+    """True when coloring meets the constraints of x in mode, after their checks.
+
+    One walk of the edges puts each edge's colors in a set, which must hold
+    need[j] colors; on a graph, where avoid is the identity, vertex j's own
+    color must also be missing from the set of N(j).  So colors must be
+    hashable, and two colors clash when a set finds one as the other:
+    equal, or the same object, as one NaN is.
+    """
+    edges, need, avoid = _constraints(x, mode, r)
+    _check_len(x.n, coloring, "coloring")
+    graph = avoid is not None
+    for j, e in enumerate(edges):
+        seen = {coloring[u] for u in e}
+        if len(seen) < need[j] or graph and coloring[j] in seen:
+            return False
+    return True
 
 
 def _constraints(x, mode, r):

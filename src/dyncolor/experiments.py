@@ -108,7 +108,7 @@ def experiment_random_graphs(
             if stats.min_degree < r:
                 rec["status"] = "skipped_low_degree"
             else:
-                sub, _, base = _list_sizes(r, sublist_size or stats.max_degree + 1, slack)
+                sub, _, base = _list_sizes(r, sublist_size, slack, max_degree=stats.max_degree)
                 lists = random_list_assignment(g.n, base, 2 * base, rng)
                 # drawn after the lists, not from master, so the sublists are
                 # independent of the lists and later trials keep their seeds

@@ -7,8 +7,8 @@ always available and the result is proper and r-dynamic.
 
 from __future__ import annotations
 
-from .coloring import _check_len, _check_r, _normalize_lists
-from .graphs import Graph, degree_stats
+from .coloring import _constraints, _normalize_lists
+from .graphs import Graph
 
 
 def greedy_r_dynamic(g: Graph, lists, r, order=None):
@@ -22,21 +22,17 @@ def greedy_r_dynamic(g: Graph, lists, r, order=None):
     colors, (b) at most Delta*(r-1), so lists of size r*Delta+1 never run
     dry.  Default order is ascending vertex id.
     """
-    _check_r(r, 1)
-    _check_len(g.n, lists, "list assignment")
-    if g.n == 0:
-        return []
-    norm = _normalize_lists(g.n, lists, floor=r * degree_stats(g).max_degree + 1)
+    adj, short, _ = _constraints(g, "dynamic", r)  # short[u]: how many more seen[u] needs
+    norm = _normalize_lists(g.n, lists, floor=r * max(map(len, adj), default=0) + 1)
     if order is None:
         order = range(g.n)
-    order = list(order)
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
+    else:
+        order = list(order)
+        if sorted(order) != list(range(g.n)):
+            raise ValueError("order must be a permutation of the vertices")
 
-    adj = g.adj
     color = [None] * g.n
-    seen = [set() for _ in range(g.n)]  # distinct colors on each vertex's neighbors
-    short = [min(r, len(nb)) for nb in adj]  # how many more seen[u] needs; it stops there
+    seen = [set() for _ in range(g.n)]  # distinct colors on each neighborhood, till short is 0
     for v in order:
         forbidden = {color[u] for u in adj[v]}
         for u in adj[v]:

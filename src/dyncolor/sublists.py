@@ -130,11 +130,6 @@ def _sorted_sampler(rng, k):
     return draw
 
 
-def _sorted_sample(rng, population, k):
-    """tuple(sorted(rng.sample(population, k))), from the same draws."""
-    return _sorted_sampler(rng, k)(population)
-
-
 def _check_sublist_size(size):
     if size is None or size < 1:
         raise ValueError(f"sublist size must be >= 1, got {size}")
@@ -145,12 +140,14 @@ def _check_max_iters(max_iters):
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
 
-def _list_sizes(r, sublist_size, slack=None, lists=None):
-    """(sublist_size, slack, base_size) by the rule base = sublist + slack + r - 2.
+def _list_sizes(r, sublist_size, slack=None, lists=None, max_degree=None):
+    """(sublist_size, slack, floor) by the rule floor = sublist + slack + r - 2.
 
-    Checks a given sublist size >= 1, r >= 2 and slack >= r - 1.  A missing
-    slack or sublist size comes from the base size of lists, which must be
-    uniform, else the slack is r - 1; the sublist size stays None with no list.
+    Checks a given sublist size >= 1, r >= 2, slack >= r - 1 and every list
+    against the floor.  A missing slack is what the uniform base size of
+    lists leaves beside a given sublist size, else r - 1; a missing sublist
+    size is max_degree + 1 (first-fit never dead-ends there) capped by what
+    the base size leaves at that slack, or None with neither.
     """
     if sublist_size is not None:
         _check_sublist_size(sublist_size)
@@ -164,10 +161,18 @@ def _list_sizes(r, sublist_size, slack=None, lists=None):
         slack = r - 1 if base is None or sublist_size is None else base - sublist_size - r + 2
     _check_slack(slack, r)
     if sublist_size is None and base is not None:
-        sublist_size = base - slack - r + 2
-        if sublist_size < 1:
+        room = base - slack - r + 2
+        if room < 1:
             raise ValueError(f"base list size {base} leaves no sublist at r = {r}, slack {slack}")
-    return sublist_size, slack, None if sublist_size is None else sublist_size + slack + r - 2
+        sublist_size = room if max_degree is None else min(room, max_degree + 1)
+    elif sublist_size is None and max_degree is not None:
+        sublist_size = max_degree + 1
+    floor = None if sublist_size is None else sublist_size + slack + r - 2
+    for v, t in enumerate(lists or ()):  # with lists, the sublist size is known by now
+        if len(t) < floor:
+            need = f"{floor} (sublist {sublist_size} + slack {slack} + r - 2)"
+            raise ValueError(f"list at vertex {v} has {len(t)} colors, needs >= {need}")
+    return sublist_size, slack, floor
 
 
 def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistState:
@@ -176,7 +181,8 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     Reproducible: the same (lists, sublist_size, seed) give the same draw,
     and the draws are those of Random(seed).sample on each list in turn.
     Passing r (>= 2) arms the state for bad-event checks; the slack, derived
-    from uniform base sizes when not given, must be >= r - 1.
+    from uniform base sizes when not given, must be >= r - 1, and every list
+    must hold sublist_size + slack + r - 2 colors.
     """
     _check_sublist_size(sublist_size)
     base = _normalize_lists(len(lists), lists, floor=sublist_size)

@@ -133,7 +133,7 @@ def test_solve_lll_sublist_size_zero_is_an_error(ws, capsys):
     assert code == 2 and out == ""
     assert err == "error: sublist size must be >= 1, got 0\n"
     _, out, _ = run_json(capsys, argv)
-    assert out["sublist_size"] == 8  # the default: base 9 - 2r + 3
+    assert out["sublist_size"] == 4  # the default: min(max degree 3 + 1, base 9 - 2r + 3)
 
 
 def test_solve_empty_graph_every_mode(ws, capsys):

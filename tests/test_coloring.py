@@ -113,10 +113,12 @@ def test_is_r_dynamic_compares_colors_as_a_set_does():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(TypeError):
         is_r_dynamic(g, [[1], [1]], 1)
+    with pytest.raises(TypeError):
+        is_proper(g, [[1], [2]])
     nan = float("nan")
     assert not is_r_dynamic(g, [nan, nan], 1)
     assert is_r_dynamic(g, [nan, float("nan")], 1)
-    assert is_proper(g, [nan, nan])  # is_proper compares with !=
+    assert not is_proper(g, [nan, nan])  # the same walk, so the same rule
 
 
 # --- list normalization ----------------------------------------------------
@@ -373,6 +375,43 @@ def test_solve_list_long_cycle_no_recursion_limit():
     odd = generate("cycle", n=1501)
     got = solve_list_coloring(odd, [[1, 2, 3]] * 1501)
     assert is_proper(odd, got) and got[:4] == [1, 2, 1, 2]
+
+
+# --- the validity walk -----------------------------------------------------
+
+WALK_COLORS = [1, 2, 3, float("nan"), float("nan")]  # two NaN objects, each drawn any number of times
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_is_proper_is_r_dynamic_at_r_1(g, data):
+    # every vertex with a neighbor sees at least one color, so 1-dynamic is proper
+    coloring = data.draw(st.lists(st.sampled_from(WALK_COLORS), min_size=g.n, max_size=g.n))
+    assert is_proper(g, coloring) == is_r_dynamic(g, coloring, 1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(), h=small_hypergraphs(), data=st.data())
+def test_is_proper_and_is_r_strong_match_the_definitions(r, g, h, data):
+    colors = st.integers(min_value=1, max_value=3)
+    c = data.draw(st.lists(colors, min_size=g.n, max_size=g.n))
+    assert is_proper(g, c) == oracle_valid(g, c)
+    c = data.draw(st.lists(colors, min_size=h.n, max_size=h.n))
+    assert is_r_strong(h, c, r) == all(len({c[v] for v in e}) >= min(r, len(e)) for e in h.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(), h=small_hypergraphs(), r=st.integers(min_value=-2, max_value=0), data=st.data())
+def test_checkers_keep_their_error_texts(g, h, r, data):
+    # r is checked before the length
+    for check, x, args in ((is_proper, g, ()), (is_r_dynamic, g, (1,)), (is_r_strong, h, (1,))):
+        size = data.draw(st.integers(min_value=0, max_value=x.n + 2).filter(lambda k: k != x.n))
+        with pytest.raises(ValueError, match=f"^coloring has {size} entries for {x.n} vertices$"):
+            check(x, [1] * size, *args)
+        if args:
+            with pytest.raises(ValueError, match=f"^r must be >= 1, got {r}$"):
+                check(x, [1] * size, r)
 
 
 # --- choosability ----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The exact ValueError text of every solver, chromatic and choosability
-entry point, one bad argument at a time and several together.
+"""The exact ValueError text of every checker, solver, chromatic and
+choosability entry point, one bad argument at a time and several together.
 
 The checks run in a fixed order: mode, then r, then the list assignment,
 the caps and k.  With several bad arguments the first in that order names
@@ -15,6 +15,9 @@ from dyncolor import (
     chi_exact,
     generate,
     is_k_choosable,
+    is_proper,
+    is_r_dynamic,
+    is_r_strong,
     solve_list_coloring,
 )
 
@@ -27,11 +30,20 @@ MODE = "unknown mode 'bad'"
 STRONG = "unknown mode 'strong'"
 R = "r must be >= 1, got 0"
 LENGTH = "list assignment has 4 entries for 5 vertices"
+COLORING = "coloring has 4 entries for 5 vertices"
 N_CAP = "n=5 exceeds cap 4; pass max_n to override"
 K_LOW = "k must be >= 1, got 0"
 K_CAP = "k=5 exceeds cap 4; pass max_k to override"
 
 CASES = [
+    ("proper-length", lambda: is_proper(G, [1, 2, 1, 2]), COLORING),
+    ("proper-hypergraph", lambda: is_proper(H, [1, 2, 1, 2, 1]), "unknown mode 'proper'"),
+    ("dynamic-r", lambda: is_r_dynamic(G, [1, 2, 1, 2, 3], 0), R),
+    ("dynamic-length", lambda: is_r_dynamic(G, [1, 2, 1, 2], 2), COLORING),
+    ("dynamic-r-2", lambda: is_r_dynamic(G, [1, 2, 1, 2], 0), R),
+    ("strong-r", lambda: is_r_strong(H, [1, 2, 1, 2, 1], 0), R),
+    ("strong-length", lambda: is_r_strong(H, [1, 2, 1, 2], 2), COLORING),
+    ("strong-graph", lambda: is_r_strong(G, [1, 2, 1, 2, 3], 2), STRONG),
     ("solve-mode", lambda: solve_list_coloring(G, LISTS, mode="bad"), MODE),
     ("solve-strong", lambda: solve_list_coloring(G, LISTS, mode="strong", r=2), STRONG),
     ("solve-r", lambda: solve_list_coloring(G, LISTS, mode="dynamic", r=0), R),

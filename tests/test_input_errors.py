@@ -85,6 +85,8 @@ CASES = [
      "sublist size must be >= 1, got 0"),
     ("experiment-lll-max-iters", lambda: _lll_experiment(max_iters=-5),
      "max_iters must be >= 0, got -5"),
+    ("sample-explicit-slack", lambda: sample_sublists([[1, 2], [1, 2]], 2, seed=0, r=2, slack=5),
+     "list at vertex 0 has 2 colors, needs >= 7 (sublist 2 + slack 5 + r - 2)"),
     ("resample-max-iters",
      lambda: resample_until_clear(TRIANGLE, sample_sublists([[1, 2, 3]] * 3, 1, 0, r=2), -5),
      "max_iters must be >= 0, got -5"),

@@ -24,7 +24,7 @@ from dyncolor import (
     sublist_condition_lhs,
 )
 from dyncolor import coloring as coloring_mod, sublists as sublists_mod
-from dyncolor.sublists import _list_sizes, _sorted_sample, _sorted_sampler
+from dyncolor.sublists import _list_sizes, _sorted_sampler
 
 from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
 
@@ -66,7 +66,7 @@ def test_sample_sublists_slack_bookkeeping():
 def test_list_sizes_derive_what_is_missing():
     # base = sublist + slack + r - 2, the slack r - 1 unless it is derived
     nine = [tuple(range(1, 10))] * 4
-    assert _list_sizes(3, None, lists=nine) == (6, 2, 9)  # solve's default
+    assert _list_sizes(3, None, lists=nine) == (6, 2, 9)  # with no degree, the room the lists leave
     assert _list_sizes(3, 4) == (4, 2, 7)  # experiment's base size
     assert _list_sizes(3, 4, slack=5) == (4, 5, 10)
     assert _list_sizes(3, 4, lists=nine) == (4, 4, 9)  # the slack from the lists
@@ -102,7 +102,7 @@ def _sample_set_branch(n, k):
 
 def _assert_same_as_sample(rng_type, seed, population, k):
     ours, theirs = rng_type(seed), rng_type(seed)
-    assert _sorted_sample(ours, population, k) == tuple(sorted(theirs.sample(population, k)))
+    assert _sorted_sampler(ours, k)(population) == tuple(sorted(theirs.sample(population, k)))
     assert ours.getstate() == theirs.getstate()
 
 
@@ -161,7 +161,7 @@ def test_sorted_sampler_draws_as_random_sample_across_sizes(rng_type):
 @pytest.mark.parametrize("k", [-1, 6, 40])
 def test_sorted_sample_rejects_k_as_sample_does(k):
     with pytest.raises(ValueError) as ours:
-        _sorted_sample(random.Random(0), range(5), k)
+        _sorted_sampler(random.Random(0), k)(range(5))
     with pytest.raises(ValueError) as theirs:
         random.Random(0).sample(range(5), k)
     assert str(ours.value) == str(theirs.value)
