@@ -6,12 +6,19 @@ proper or dynamic mode or a hypergraph in strong mode.  That builder is the
 one place a mode becomes constraints, and its docstring states the rule.
 Vertices go by the number of edges containing them, descending, ties by id
 (on graphs: by degree); colors ascend through each vertex's list, or through
-1..k in first-use order.  The exact chromatic numbers are the least k at
-which the first-use search succeeds (`_least_k`).  A proper list coloring
-first tries a first-fit descent (`_first_fit`) in that same order: proper
-mode never prunes, so when it never dead-ends its coloring is the search's
-first leaf.  `_proper_list_coloring` runs the search only after a dead end;
-`solve_list_coloring` and the sublist pipeline share it.
+1..k in first-use order.  A branch ends when an edge takes more repeats
+than it can afford, or by forward checking (Haralick and Elliott 1980) when
+an uncolored vertex has no candidate color left: on a graph, every color of
+its list (or 1..k) is on its neighborhood or, under the need rule, on a
+saturated edge containing it (see `_search`).  Both cuts remove only
+branches that hold no valid coloring, so the first leaf in this order, and
+every coloring returned, is the one a search without them would return.
+The exact chromatic numbers are the least k at which the first-use search
+succeeds (`_least_k`).  A proper list coloring first tries a first-fit
+descent (`_first_fit`) in that same order: a descent that never dead-ends
+is a valid coloring, so no cut touches its path and its coloring is the
+search's first leaf.  `_proper_list_coloring` runs the search only after a
+dead end; `solve_list_coloring` and the sublist pipeline share it.
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
@@ -148,8 +155,10 @@ def _first_fit(adj, lists):
     """_search's first descent in proper mode: the coloring, or None at a dead end.
 
     Each vertex in _order takes the first color of its list that no colored
-    neighbor holds.  Proper mode never prunes, so when no vertex runs out of
-    colors this is the first leaf of _search, the coloring it returns.
+    neighbor holds.  When no vertex runs out of colors the result is a proper
+    coloring, so every prefix of this path has a valid completion and none of
+    _search's cuts ends it: it is the first leaf of _search, the coloring it
+    returns.
     """
     color = [None] * len(adj)
     for v in _order(adj):
@@ -180,6 +189,20 @@ def _search(n, edges, need, avoid, lists=None, k=None):
     1..k in first-use order: those used so far, then one fresh) drives it;
     first-use order finds a coloring whenever 1..k admits one, since
     validity does not depend on the names of the colors.
+
+    A branch ends, after v takes c, when an edge holds more repeats than
+    len(e) - need allows (spare), or when forward checking finds an
+    uncolored vertex u with none of its candidates left (lists[u], or
+    1..k).  On a graph, where avoid is the identity, u may not take a color
+    on N(u) (avoid rule).  An edge j whose repeats equal spare[j] is
+    saturated: any further repeat breaks it, so its uncolored members may not
+    take a color it holds (need rule).  Only vertices whose choices just
+    shrank are checked: v's uncolored neighbors whose N gained c, against
+    N's colors, and the uncolored members of v's saturated edges, each once
+    however many such edges share it, against N(u)'s colors plus those of
+    every saturated edge containing u.  Every completion of a cut branch
+    breaks some constraint, so the depth-first order finds the same first
+    leaf as a search without these cuts.
     """
     if n == 0:
         return []
@@ -191,9 +214,11 @@ def _search(n, edges, need, avoid, lists=None, k=None):
     spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
     repeats = [0] * len(edges)
     mult = [{} for _ in edges]  # color -> count on the colored members of each edge
-    taken = [()] * n if avoid is None else [mult[j] for j in avoid]
+    graph = avoid is not None
+    taken = mult if graph else [()] * n  # the colors on N(v), which v may not take
+    size = [k] * n if lists is None else [len(c) for c in lists]  # candidates per vertex
     color = [None] * n
-    top = [0] * n  # first-use order: the largest color on order[:depth]
+    top = [0] * (n + 1)  # first-use order: the largest color on order[:depth]
     # An explicit stack of color iterators, one per depth, so that the search
     # depth is not bounded by the interpreter's recursion limit.  A vertex
     # still colored at the loop head was extended (or pruned) with that
@@ -222,8 +247,16 @@ def _search(n, edges, need, avoid, lists=None, k=None):
         color[v] = c
         # A fresh color keeps an edge's distinct colors plus uncolored
         # members unchanged, so only an edge that now holds c twice can fall
-        # below its need.
+        # below its need.  In first-use order the colors in use are 1..used,
+        # so forward checking finds no vertex without candidates until all
+        # of 1..k are in use.
         pruned = False
+        if k is None:
+            look = True
+        else:
+            used = top[depth + 1] = max(top[depth], c)
+            look = used == k
+        full = []
         for j in member[v]:
             mj = mult[j]
             if c in mj:
@@ -233,14 +266,34 @@ def _search(n, edges, need, avoid, lists=None, k=None):
                     pruned = True
             else:
                 mj[c] = 1
+                if (  # avoid rule: c is new on N(j)
+                    look
+                    and graph
+                    and color[j] is None
+                    and len(mj) >= size[j]
+                    and (lists is None or all(map(mj.__contains__, lists[j])))
+                ):
+                    pruned = True
+            if look and repeats[j] == spare[j]:
+                full.append(j)
         if pruned:
             continue
+        if full:  # need rule, one check per vertex however many edges share it
+            for u in {u for j in full for u in edges[j] if color[u] is None}:
+                seen = set(taken[u])
+                for i in member[u]:
+                    if repeats[i] == spare[i]:
+                        seen.update(mult[i])
+                if len(seen) >= size[u] and (lists is None or all(map(seen.__contains__, lists[u]))):
+                    pruned = True
+                    break
+            if pruned:
+                continue
         if depth + 1 == n:
             return list(color)
         if k is None:
             stack.append(iter(lists[order[depth + 1]]))
         else:
-            used = top[depth + 1] = max(top[depth], c)
             stack.append(iter(range(1, min(used + 1, k) + 1)))
     return None
 
@@ -275,8 +328,13 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
     Exhaustive search: vertices by descending degree (ties by id), colors
     ascending.  A branch dies as soon as some edge can no longer reach its
-    need even if every uncolored member brings a fresh color; on a full
-    assignment that test is the exact condition, so accepted leaves are valid.
+    need even if every uncolored member brings a fresh color (on a full
+    assignment that test is the exact condition, so accepted leaves are
+    valid), or when forward checking leaves an uncolored vertex no color of
+    its list: all of them are on its neighborhood (graphs) or held by
+    saturated edges containing it, edges that can afford no further repeat.
+    Both cuts keep every branch that holds a valid coloring, so the result
+    is the first valid coloring in that order.
     """
     edges, need, avoid = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)

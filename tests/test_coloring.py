@@ -226,6 +226,42 @@ def test_chi_exact_matches_oracle_on_random_graphs(mode, r, n, p, seed):
     assert chi_exact(g, mode=mode, r=r) == oracle_chi(g, r)
 
 
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _closed_form_chi(family, r, **params):
+    """chi_r for r >= 2: C_n 3 when 3 | n, 5 at n = 5, else 4; K_{a,b} min(r, a) + min(r, b)."""
+    if family == "cycle":
+        n = params["n"]
+        return 3 if n % 3 == 0 else 5 if n == 5 else 4
+    return min(r, params["a"]) + min(r, params["b"])
+
+
+CLOSED_FORM_CASES = [
+    *(("cycle", r, {"n": n}) for n in (19, 20, 24) for r in (2, 3)),
+    ("complete_bipartite", 2, {"a": 8, "b": 8}),
+    ("complete_bipartite", 3, {"a": 3, "b": 5}),
+    ("complete_bipartite", 3, {"a": 4, "b": 4}),
+]
+
+
+@pytest.mark.parametrize(
+    "family,r,params",
+    CLOSED_FORM_CASES,
+    ids=[f"{f}{'_'.join(map(str, p.values()))}-r{r}" for f, r, p in CLOSED_FORM_CASES],
+)
+def test_chi_exact_equals_the_closed_form_after_relabelling(family, r, params):
+    # past the oracle's reach; each relabelling moves the search order, so
+    # the search backtracks and forward checking cuts many of its branches
+    g = generate(family, **params)
+    want = _closed_form_chi(family, r, **params)
+    for seed in range(4):
+        assert chi_exact(_relabelled(g, seed), mode="dynamic", r=r, max_n=g.n) == want
+
+
 def test_chi_exact_guards():
     with pytest.raises(ValueError):
         chi_exact(generate("cycle", n=13), mode="dynamic", r=2, max_n=12)
@@ -294,6 +330,22 @@ def test_solve_list_returns_first_coloring_in_search_order(mode, r, case):
     # cuts a valid branch, returns another coloring (or None)
     g, lists = case
     assert solve_list_coloring(g, lists, mode, r) == oracle_first_coloring(g, lists, mode, r)
+
+
+def test_forward_checking_keeps_the_first_coloring_on_tight_lists():
+    # short lists on dense graphs and hypergraphs with small edges saturate
+    # edges early, so both look-ahead rules fire; a rule that forbade a
+    # color some completion needs would return a later coloring, or None
+    rng = random.Random(23)
+    for seed in range(60):
+        g = generate("gnp", seed=seed, n=7, p=0.45 + 0.1 * (seed % 3))
+        lists = random_lists(7, 3, range(1, 6), rng)
+        for mode, r in (("proper", 0), ("dynamic", 2), ("dynamic", 3)):
+            assert solve_list_coloring(g, lists, mode, r) == oracle_first_coloring(g, lists, mode, r)
+        edges = [rng.sample(range(7), rng.choice((2, 3, 3))) for _ in range(6)]
+        h = build_hypergraph(7, edges)
+        for r in (2, 3):
+            assert solve_list_coloring(h, lists, "strong", r) == oracle_first_coloring(h, lists, "strong", r)
 
 
 @settings(max_examples=200, deadline=None)

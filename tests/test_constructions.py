@@ -159,6 +159,30 @@ def test_construction_report_cap():
         construction_report(p5, 2, 2, seed=0, max_n=12)  # incidence graph has 16 vertices
 
 
+def test_construction_report_pins_the_bench_base():
+    # the benchmark's fixed r = 3 base; both exact searches backtrack here
+    h = parse_hypergraph("h 7 4\n1 2\n2 3\n3 4\n5 6\n")
+    assert construction_report(h, 3, 3, 4, max_n=24) == {
+        "base_vertices": 7,
+        "base_edges": 4,
+        "r": 3,
+        "k": 3,
+        "seed": 4,
+        "augmented_vertices": 9,
+        "augmented_edges": 13,
+        "incidence_vertices": 22,
+        "incidence_edges": 39,
+        "bipartite": True,
+        "k_degenerate": True,
+        "strong_chromatic": 4,
+        "dynamic_chromatic": 5,
+        "lifted_valid": True,
+        "lifted_colors_used": 7,
+        "lower_bound_holds": True,
+        "upper_bound_holds": True,
+    }
+
+
 def test_construction_report_r3_seed_50317():
     # a chromatic search that tries every renaming of each coloring spends
     # seconds on this 22-vertex incidence graph at k = 5

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -18,6 +20,7 @@ from dyncolor import (
     is_proper,
     is_r_dynamic,
     neighborhood_color_hypergraph,
+    random_list_assignment,
     resample_until_clear,
     sample_sublists,
     sublist_condition_holds,
@@ -420,6 +423,23 @@ def test_pipeline_frozen_list_coloring_failed():
     assert res.coloring is None
     assert res.log.status == "clear"
     assert res.log.iterations == 1
+
+
+def test_pipeline_backtracking_coloring_is_pinned():
+    # trial 1 of `experiment --n 150 --p 0.08 --r 2 --trials 3 --mode lll
+    # --sublist-size 5 --slack 3 --seed 47`: first-fit dead-ends on the
+    # cleared sublists, and the search without forward checking took about
+    # 13 s to reach this coloring
+    master = random.Random(47)
+    master.randrange(2**32), master.randrange(2**32)  # trial 0
+    gs, ls = master.randrange(2**32), master.randrange(2**32)
+    g = generate("gnp", seed=gs, n=150, p=0.08)
+    rng = random.Random(ls)
+    lists = random_list_assignment(150, 8, 16, rng)
+    res = dynamic_coloring_via_sublists(g, lists, 5, 2, seed=rng.randrange(2**32))
+    assert res.status == "ok"
+    digest = hashlib.sha256(json.dumps(res.coloring).encode()).hexdigest()
+    assert digest == "f637c7b5f3dfe919a0de153725accbeb2d6318d713ca9b45c48488b65e461b65"
 
 
 def test_pipeline_validation():
