@@ -17,11 +17,10 @@ order:
   k-choosable.
 
 Dynamic mode, strong mode and every proper component the certificates leave
-open go to the search.  The search sees hyperedges that each need some
-number of distinct colors: the mode's constraints from
-`coloring._constraints`, plus, on a graph, each edge as a hyperedge of its
-two ends with need 2 (which is properness; needs below 2 hold on any
-coloring and are dropped).
+open go to the search.  It takes `coloring._constraints` as they are and
+sees hyperedges that each need some number of distinct colors: on a graph,
+first each edge as a hyperedge of its two ends with need 2 (properness),
+then the mode's edges (needs below 2 hold on any coloring and are dropped).
 
 Lists are filled one vertex at a time in a maximum-cardinality-search order:
 next is the unfilled vertex with the most filled neighbors (vertices sharing
@@ -45,7 +44,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import _check_cap, _constraints
-from .graphs import Graph, Hypergraph, _core_numbers, bipartition, build_graph
+from .graphs import Graph, Hypergraph, _core_numbers, build_graph, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
 
@@ -55,7 +54,7 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
 
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
     """
-    edges, need, avoid = _constraints(x, mode, r)
+    constraints = _constraints(x, mode, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_cap(x.n, max_n)
@@ -64,8 +63,7 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
         return True
     if mode == "proper":
         return all(_core_choosable(c, k) for c in _core_components(x, k))
-    proper = [] if avoid is None else [(e, 2) for e in x.edges]
-    return _all_lists_colorable(x.n, proper + list(zip(edges, need)), k)
+    return _all_lists_colorable(x.n, *constraints, k)
 
 
 def _core_components(g, k):
@@ -93,9 +91,9 @@ def _core_choosable(c, k):
             return c.n % 2 == 0
         ok = len(hubs) == 2 and c.degree(hubs[0]) == c.degree(hubs[1]) == 3 and c.n % 2 == 1
         return ok and len(c.adj[hubs[0]] & c.adj[hubs[1]]) >= 2
-    if bipartition(c) is not None and _orientable(c, k - 1):
+    if is_bipartite(c) and _orientable(c, k - 1):
         return True
-    return _all_lists_colorable(c.n, [(e, 2) for e in c.edges], k)
+    return _all_lists_colorable(c.n, *_constraints(c, "proper", 0), k)
 
 
 def _orientable(g, cap):
@@ -125,18 +123,21 @@ def _orientable(g, cap):
     return True
 
 
-def _steps(n, needs):
+def _steps(n, edges, need, graph):
     """Per fill position, how a projected state grows by that vertex.
 
-    A state at depth i is a tuple of the statuses of the hyperedges open
-    there (some members filled, some not), in a fixed order.  Step i holds
-    one (state position or -1, need or 0 when v is not a member, members
-    left unfilled) triple per hyperedge that v closes, then per hyperedge
-    open after v: a state that fails to close an edge is dropped before
-    anything is copied.
+    The hyperedges: on a graph (graph is True) each edge uv, in Graph.edges
+    order, as {u, v} with need 2, then the edges with their needs; needs
+    below 2 and repeats are dropped.  A state at depth i is a tuple of the
+    statuses of the hyperedges open there (some members filled, some not),
+    in a fixed order.  Step i holds one (state position or -1, need or 0
+    when v is not a member, members left unfilled) triple per hyperedge that
+    v closes, then per hyperedge open after v: a state that fails to close
+    an edge is dropped before anything is copied.
     """
-    # a need of 1 holds on any coloring of a nonempty edge
-    edges = list(dict.fromkeys((frozenset(e), need) for e, need in needs if need >= 2))
+    pairs = [((u, v), 2) for u, nu in enumerate(edges) if graph for v in sorted(nu) if v > u]
+    needs = [*pairs, *zip(edges, need)]
+    edges = list(dict.fromkeys((frozenset(e), t) for e, t in needs if t >= 2))
     near = [set() for _ in range(n)]
     for e, _ in edges:
         for v in e:
@@ -202,8 +203,8 @@ def _lists(live, k):
             yield olds + news
 
 
-def _all_lists_colorable(n, needs, k):
-    steps = _steps(n, needs)
+def _all_lists_colorable(n, edges, need, graph, k):
+    steps = _steps(n, edges, need, graph)
     memo = {}
     # An explicit stack of list iterators, one per depth, so that the depth
     # is not bounded by the interpreter's recursion limit.

@@ -104,14 +104,13 @@ def _valid(x, mode, r, coloring):
     """True when coloring meets the constraints of x in mode, after their checks.
 
     One walk of the edges puts each edge's colors in a set, which must hold
-    need[j] colors; on a graph, where avoid is the identity, vertex j's own
-    color must also be missing from the set of N(j).  So colors must be
-    hashable, and two colors clash when a set finds one as the other:
-    equal, or the same object, as one NaN is.
+    need[j] colors; on a graph, edge j is N(j), so vertex j's own color must
+    also be missing from it.  So colors must be hashable, and two colors
+    clash when a set finds one as the other: equal, or the same object, as
+    one NaN is.
     """
-    edges, need, avoid = _constraints(x, mode, r)
+    edges, need, graph = _constraints(x, mode, r)
     _check_len(x.n, coloring, "coloring")
-    graph = avoid is not None
     for j, e in enumerate(edges):
         seen = {coloring[u] for u in e}
         if len(seen) < need[j] or graph and coloring[j] in seen:
@@ -120,23 +119,23 @@ def _valid(x, mode, r, coloring):
 
 
 def _constraints(x, mode, r):
-    """The search's (edges, need, avoid) for x in mode, after the mode and r checks.
+    """Both search engines' input (edges, need, graph) for x in mode, after the checks.
 
-    A graph takes mode "proper" or "dynamic", a hypergraph only "strong".
-    On a graph the edges are the neighborhoods N(u), with need min(r, d(u))
-    in dynamic mode and 0 in proper mode, and avoid[v] = v: a color on N(v)
-    is taken, which is properness.  So an r-dynamic coloring is a proper one
-    that is r-strong on the neighborhood hypergraph.  Strong mode takes the
-    hyperedges with need min(r, |e|) and no avoid rule.
+    A graph takes mode "proper" or "dynamic", a hypergraph only "strong";
+    then r must be >= 0 in proper mode, which ignores it, and >= 1 otherwise.
+    On a graph (graph is True) edge u is the neighborhood N(u), with need
+    min(r, d(u)) in dynamic mode and 0 in proper mode, and no vertex v may
+    take a color on N(v) (the avoid rule), which is properness.  So an
+    r-dynamic coloring is a proper one that is r-strong on the neighborhood
+    hypergraph.  Strong mode takes the hyperedges with need min(r, |e|).
     """
     graph = isinstance(x, Graph)
     if mode not in (("proper", "dynamic") if graph else ("strong",)):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "proper":
-        _check_r(r, 1)
+    _check_r(r, 0 if mode == "proper" else 1)
     edges = x.adj if graph else x.edges
     need = [0] * len(edges) if mode == "proper" else [min(r, len(e)) for e in edges]
-    return edges, need, (range(x.n) if graph else None)
+    return edges, need, graph
 
 
 def _order(member):
@@ -172,19 +171,16 @@ def _first_fit(adj, lists):
     return color
 
 
-def _proper_list_coloring(adj, lists):
-    """_search's first proper coloring from normalized lists, _first_fit's if it has one."""
-    coloring = _first_fit(adj, lists)
-    if coloring is None:
-        coloring = _search(len(adj), adj, [0] * len(adj), range(len(adj)), lists=lists)
-    return coloring
+def _proper_list_coloring(g, lists):
+    """_search's first proper coloring of g from normalized lists, _first_fit's if it has one."""
+    return _first_fit(g.adj, lists) or _search(g.n, *_constraints(g, "proper", 0), lists=lists)
 
 
-def _search(n, edges, need, avoid, lists=None, k=None):
+def _search(n, edges, need, graph, lists=None, k=None):
     """The first valid coloring in search order, or None.
 
-    Valid: every edge j holds need[j] distinct colors, and when avoid is
-    given no vertex v shares a color with a member of edge avoid[v].
+    Valid: every edge j holds need[j] distinct colors, and on a graph
+    (graph is True, edge v being N(v)) no vertex v shares a color with N(v).
     Exactly one of lists (colors of v ascending from lists[v]) and k (colors
     1..k in first-use order: those used so far, then one fresh) drives it;
     first-use order finds a coloring whenever 1..k admits one, since
@@ -193,16 +189,16 @@ def _search(n, edges, need, avoid, lists=None, k=None):
     A branch ends, after v takes c, when an edge holds more repeats than
     len(e) - need allows (spare), or when forward checking finds an
     uncolored vertex u with none of its candidates left (lists[u], or
-    1..k).  On a graph, where avoid is the identity, u may not take a color
-    on N(u) (avoid rule).  An edge j whose repeats equal spare[j] is
-    saturated: any further repeat breaks it, so its uncolored members may not
-    take a color it holds (need rule).  Only vertices whose choices just
-    shrank are checked: v's uncolored neighbors whose N gained c, against
-    N's colors, and the uncolored members of v's saturated edges, each once
-    however many such edges share it, against N(u)'s colors plus those of
-    every saturated edge containing u.  Every completion of a cut branch
-    breaks some constraint, so the depth-first order finds the same first
-    leaf as a search without these cuts.
+    1..k).  On a graph u may not take a color on N(u) (avoid rule).  An edge
+    j whose repeats equal spare[j] is saturated: any further repeat breaks
+    it, so its uncolored members may not take a color it holds (need rule).
+    Only vertices whose choices just shrank are checked: v's uncolored
+    neighbors whose N gained c, against N's colors, and the uncolored
+    members of v's saturated edges, each once however many such edges share
+    it, against N(u)'s colors plus those of every saturated edge containing
+    u.  Every completion of a cut branch breaks some constraint, so the
+    depth-first order finds the same first leaf as a search without these
+    cuts.
     """
     if n == 0:
         return []
@@ -214,7 +210,6 @@ def _search(n, edges, need, avoid, lists=None, k=None):
     spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
     repeats = [0] * len(edges)
     mult = [{} for _ in edges]  # color -> count on the colored members of each edge
-    graph = avoid is not None
     taken = mult if graph else [()] * n  # the colors on N(v), which v may not take
     size = [k] * n if lists is None else [len(c) for c in lists]  # candidates per vertex
     color = [None] * n
@@ -237,9 +232,9 @@ def _search(n, edges, need, avoid, lists=None, k=None):
                 else:
                     mj[c] -= 1
                     repeats[j] -= 1
-        avoided = taken[v]
+        held = taken[v]
         for c in stack[-1]:
-            if c not in avoided:
+            if c not in held:
                 break
         else:
             stack.pop()
@@ -310,13 +305,13 @@ def _least_k(x, mode, r, max_n):
     which is already in first-use form, so the first-use search reaches it
     first.
     """
-    edges, need, avoid = _constraints(x, mode, r)
+    edges, need, graph = _constraints(x, mode, r)
     _check_cap(x.n, max_n)
     if x.n == 0:
         return 0, []
-    low = max([1, *need]) + (avoid is not None and x.m > 0)
+    low = max([1, *need]) + (graph and x.m > 0)
     for k in range(low, x.n + 1):
-        coloring = _search(x.n, edges, need, avoid, k=k)
+        coloring = _search(x.n, edges, need, graph, k=k)
         if coloring is not None:
             return k, coloring
     raise AssertionError("unreachable: n colors always suffice")
@@ -336,11 +331,11 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     Both cuts keep every branch that holds a valid coloring, so the result
     is the first valid coloring in that order.
     """
-    edges, need, avoid = _constraints(x, mode, r)
+    constraints = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)
     if mode == "proper":
-        return _proper_list_coloring(edges, lists)
-    return _search(x.n, edges, need, avoid, lists=lists)
+        return _proper_list_coloring(x, lists)
+    return _search(x.n, *constraints, lists=lists)
 
 
 def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:

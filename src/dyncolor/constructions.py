@@ -32,7 +32,7 @@ class AugmentedHypergraph:
 
     def edge_label(self, j):
         """("base", index) for original edges, ("matching", i) for partition i (1-based)."""
-        if j < self.base.m:
+        if 0 <= j < self.base.m:
             return ("base", j)
         for i, idxs in enumerate(self.matchings, start=1):
             if j in idxs:

@@ -349,7 +349,7 @@ def dynamic_coloring_via_sublists(
     state, log = resample_until_clear(g, state, max_iters)
     if log.status != "clear":
         return PipelineResult(coloring=None, log=log, status="cap_reached")
-    coloring = _proper_list_coloring(g.adj, state.sublists)
+    coloring = _proper_list_coloring(g, state.sublists)
     if coloring is None:
         return PipelineResult(coloring=None, log=log, status="list_coloring_failed")
     if not is_r_dynamic(g, coloring, r):

@@ -51,17 +51,19 @@ def candidate_family(h: Hypergraph, r) -> CandidateFamily:
     occur (the last pick only branches over one edge), so deciding requires
     checking membership candidates, not mere nonemptiness.  An empty edge
     kills all branches (nothing can meet it), and once no edges remain any r
-    of the surviving vertices do the job (the smallest ids are kept as the
+    of the unpicked vertices do the job (the smallest ids are kept as the
     canonical representative).
+
+    Cost: O(k^(r-1) (m + kr)) set operations (k = largest edge), whatever h.n.
     """
     _check_r(r, 1)
     if h.m == 0:
         raise ValueError("candidate_family needs at least one edge")
 
-    def recurse(edges, avail, depth):
-        if not edges:
-            if len(avail) >= depth:
-                return {frozenset(sorted(avail)[:depth])}
+    def recurse(edges, picked, depth):
+        if not edges:  # r - depth ids are picked, so the smallest free ones are below r
+            if h.n >= r:
+                return {frozenset([v for v in range(r) if v not in picked][:depth])}
             return set()
         if any(not e for e in edges):
             return set()
@@ -71,11 +73,11 @@ def candidate_family(h: Hypergraph, r) -> CandidateFamily:
         found = set()
         for v in sorted(first):
             rest = tuple(e for e in edges if v not in e)
-            for partial in recurse(rest, avail - {v}, depth - 1):
+            for partial in recurse(rest, picked | {v}, depth - 1):
                 found.add(partial | {v})
         return found
 
-    members = recurse(h.edges, frozenset(range(h.n)), r)
+    members = recurse(h.edges, frozenset(), r)
     ordered = tuple(sorted(members, key=sorted))
     return CandidateFamily(r=r, sets=ordered)
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dyncolor import build_graph, build_hypergraph, choosability, generate, is_k_choosable
 from dyncolor.choosability import _all_lists_colorable, _core_components, _orientable
+from dyncolor.coloring import _constraints
 from .helpers import oracle_gnp, oracle_is_k_choosable, oracle_k_core
 
 
@@ -88,8 +89,8 @@ def test_choosability_depth_not_bounded_by_recursion_limit():
 
 
 def proper_search(g, k):
-    """The forall-exists search alone, with the needs is_k_choosable gives it in proper mode."""
-    return _all_lists_colorable(g.n, [(e, 2) for e in g.edges], k)
+    """The forall-exists search alone, on the constraints is_k_choosable gives it in proper mode."""
+    return _all_lists_colorable(g.n, *_constraints(g, "proper", 0), k)
 
 
 @pytest.fixture
@@ -97,9 +98,9 @@ def searches(monkeypatch):
     """The vertex counts of the calls that reach the search."""
     calls = []
 
-    def spy(n, needs, k):
+    def spy(n, edges, need, graph, k):
         calls.append(n)
-        return _all_lists_colorable(n, needs, k)
+        return _all_lists_colorable(n, edges, need, graph, k)
 
     monkeypatch.setattr(choosability, "_all_lists_colorable", spy)
     return calls
@@ -264,9 +265,9 @@ def test_vertices_of_degree_below_k_change_nothing(case):
     g, bigger, k = case
     seen = []
 
-    def spy(n, needs, k):
-        seen.append(build_graph(n, [tuple(e) for e, _ in needs]))
-        return _all_lists_colorable(n, needs, k)
+    def spy(n, edges, need, graph, k):
+        seen.append(build_graph(n, [(u, v) for u, nu in enumerate(edges) for v in nu]))
+        return _all_lists_colorable(n, edges, need, graph, k)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(choosability, "_all_lists_colorable", spy)

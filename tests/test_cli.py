@@ -240,6 +240,22 @@ def test_usage_errors_exit_2(ws, capsys):
     assert code == 2
 
 
+def test_negative_r_exits_2(ws, capsys):
+    # proper mode ignores r, but a negative one is still bad input
+    g = ws("p3.txt", "p edge 3 2\ne 1 2\ne 2 3\n")
+    lists = ws("l.json", '{"0": [1], "1": [1, 2], "2": [3]}')
+    c = ws("c.json", "[1, 2, 1]")
+    for argv in (
+        ["chi", "--graph", g, "--r", "-7"],
+        ["choosable", "--graph", g, "--k", "2", "--r", "-1"],
+        ["solve", "--graph", g, "--lists", lists, "--mode", "exact", "--r", "-2"],
+        ["check", "--graph", g, "--coloring", c, "--r", "-3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: r must be >= 0, got {argv[-1]}\n"
+
+
 def test_missing_instance_errors(ws, capsys):
     g = ws("g.txt", C4)
     h = ws("h.txt", TWO_TRIPLES)

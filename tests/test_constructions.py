@@ -62,6 +62,8 @@ def test_edge_label():
     assert aug.edge_label(aug.matchings[1][-1]) == ("matching", 2)
     with pytest.raises(IndexError):
         aug.edge_label(aug.hyper.m)
+    with pytest.raises(IndexError):
+        aug.edge_label(-1)  # no negative indexing from the end
 
 
 def test_augment_validation():

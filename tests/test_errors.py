@@ -29,6 +29,7 @@ SHORT = LISTS[:4]
 MODE = "unknown mode 'bad'"
 STRONG = "unknown mode 'strong'"
 R = "r must be >= 1, got 0"
+R_NEG = "r must be >= 0, got -3"
 LENGTH = "list assignment has 4 entries for 5 vertices"
 COLORING = "coloring has 4 entries for 5 vertices"
 N_CAP = "n=5 exceeds cap 4; pass max_n to override"
@@ -50,6 +51,8 @@ CASES = [
     ("solve-length", lambda: solve_list_coloring(G, SHORT, mode="dynamic", r=2), LENGTH),
     ("solve-mode-2", lambda: solve_list_coloring(G, SHORT, mode="bad", r=0), MODE),
     ("solve-r-2", lambda: solve_list_coloring(G, SHORT, mode="dynamic", r=0), R),
+    ("solve-r_negative", lambda: solve_list_coloring(G, LISTS, r=-3), R_NEG),
+    ("solve-r_negative-2", lambda: solve_list_coloring(G, SHORT, r=-3), R_NEG),
     ("solve_strong-r", lambda: solve_list_coloring(H, LISTS, mode="strong", r=0), R),
     ("solve_strong-length", lambda: solve_list_coloring(H, SHORT, mode="strong", r=2), LENGTH),
     ("solve_strong-r-2", lambda: solve_list_coloring(H, SHORT, mode="strong", r=0), R),
@@ -59,6 +62,8 @@ CASES = [
     ("chi-n_cap", lambda: chi_exact(G, max_n=4), N_CAP),
     ("chi-mode-2", lambda: chi_exact(G, mode="bad", r=0, max_n=4), MODE),
     ("chi-r-2", lambda: chi_exact(G, mode="dynamic", r=0, max_n=4), R),
+    ("chi-r_negative", lambda: chi_exact(G, r=-3), R_NEG),
+    ("chi-r_negative-2", lambda: chi_exact(G, r=-3, max_n=4), R_NEG),
     ("hyper_chi-r", lambda: chi_exact(H, mode="strong", r=0), R),
     ("hyper_chi-n_cap", lambda: chi_exact(H, mode="strong", r=2, max_n=4), N_CAP),
     ("hyper_chi-r-2", lambda: chi_exact(H, mode="strong", r=0, max_n=4), R),
@@ -71,6 +76,8 @@ CASES = [
     ("choosable-mode-2", lambda: is_k_choosable(G, 0, mode="bad", r=0, max_n=4, max_k=-1), MODE),
     ("choosable-r-2", lambda: is_k_choosable(G, 0, mode="dynamic", r=0, max_n=4, max_k=-1), R),
     ("choosable-k_low-2", lambda: is_k_choosable(G, 0, max_n=4, max_k=-1), K_LOW),
+    ("choosable-r_negative", lambda: is_k_choosable(G, 2, r=-3), R_NEG),
+    ("choosable-r_negative-2", lambda: is_k_choosable(G, 0, r=-3, max_n=4, max_k=-1), R_NEG),
     ("choosable-n_cap-2", lambda: is_k_choosable(G, 5, max_n=4), N_CAP),
     ("hyper_choosable-r", lambda: is_k_choosable(H, 2, mode="strong", r=0), R),
     ("hyper_choosable-n_cap", lambda: is_k_choosable(H, 2, mode="strong", r=2, max_n=4), N_CAP),

@@ -62,6 +62,16 @@ def test_candidate_family_padding():
     assert candidate_family(build_hypergraph(2, [{0, 1}]), 3).sets == ()
 
 
+def test_candidate_family_does_not_grow_with_n():
+    # padding takes the smallest free ids lazily, so a hypergraph whose ids
+    # are spread out (as neighborhood_color_hypergraph's colors can be)
+    # costs what its edges cost
+    edges = [{1, 2}, {2, 3}, {5, 7}]
+    small = candidate_family(build_hypergraph(8, edges), 3)
+    assert len(small) == 6
+    assert candidate_family(build_hypergraph(10**6, edges), 3) == small
+
+
 def test_candidate_family_empty_edge():
     h = build_hypergraph(3, [set()])
     assert candidate_family(h, 2).sets == ()
