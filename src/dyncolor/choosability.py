@@ -22,9 +22,10 @@ sees hyperedges that each need some number of distinct colors: on a graph,
 first each edge as a hyperedge of its two ends with need 2 (properness),
 then the mode's edges (needs below 2 hold on any coloring and are dropped).
 
-Lists are filled one vertex at a time in a maximum-cardinality-search order:
-next is the unfilled vertex with the most filled neighbors (vertices sharing
-a hyperedge), ties broken by (-degree, id), which keeps the boundary between
+Lists are filled one vertex at a time in a maximum-cardinality-search order
+(`coloring._mcs_order`, which `chi_exact` also searches in): next is the
+unfilled vertex with the most filled neighbors (vertices sharing a
+hyperedge), ties broken by (-degree, id), which keeps the boundary between
 filled and unfilled vertices small.  The search carries the set of feasible
 colorings of the filled prefix, projected onto what the unfilled vertices
 can still see: for each hyperedge with unfilled members, the colors seen on
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import _check_cap, _constraints
+from .coloring import _check_cap, _constraints, _mcs_order
 from .graphs import Graph, Hypergraph, _core_numbers, build_graph, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
@@ -142,13 +143,7 @@ def _steps(n, edges, need, graph):
     for e, _ in edges:
         for v in e:
             near[v] |= e - {v}
-    order, filled, left = [], [0] * n, set(range(n))
-    while left:
-        v = min(left, key=lambda u: (-filled[u], -len(near[u]), u))
-        order.append(v)
-        left.remove(v)
-        for u in near[v]:
-            filled[u] += 1
+    order = _mcs_order(near)
     pos = {v: i for i, v in enumerate(order)}
     span = [(min(pos[u] for u in e), max(pos[u] for u in e)) for e, _ in edges]
     steps, opened = [], []

@@ -14,25 +14,32 @@ saturated edge containing it (see `_search`).  Both cuts remove only
 branches that hold no valid coloring, so the first leaf in this order, and
 every coloring returned, is the one a search without them would return.
 The exact chromatic numbers are the least k at which the first-use search
-succeeds (`_least_k`).  A proper list coloring first tries a first-fit
-descent (`_first_fit`) in that same order: a descent that never dead-ends
-is a valid coloring, so no cut touches its path and its coloring is the
-search's first leaf.  `_proper_list_coloring` runs the search only after a
-dead end; `solve_list_coloring` and the sublist pipeline share it.
+succeeds (`_least_k`).  Whether one does is the same in every vertex order,
+so `chi_exact` decides each k on a graph in maximum-cardinality-search
+order (`_mcs_order`: next the vertex with the most ordered neighbors), where
+a relabelling moves only ties.  Every other search keeps the degree order
+above: the list searches, whose first leaf is an output that tests pin,
+and `_least_k`, which `chi_exact` calls on hypergraphs and whose strong
+coloring `construction_report` lifts.  A proper list coloring first tries
+a first-fit descent (`_first_fit`) in that order: a descent that never
+dead-ends is a valid coloring, so no cut touches its path and its coloring
+is the search's first leaf.  `_proper_list_coloring` runs the search only
+after a dead end; `solve_list_coloring` and the sublist pipeline share it.
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
 (the defaults are the supported scale, not hard limits).
 
 Choosability (`is_k_choosable`) lives in the `choosability` module: one
-forall-lists / exists-coloring search that fills lists in
-maximum-cardinality-search order and carries the set of feasible colorings
+forall-lists / exists-coloring search that fills lists in `_mcs_order` of
+its co-membership graph and carries the set of feasible colorings
 projected onto the boundary, memoized up to color renaming.
 """
 
 from __future__ import annotations
 
 import operator
+from heapq import heapify, heappop, heappush
 
 from .graphs import Graph, Hypergraph
 
@@ -150,6 +157,32 @@ def _order(member):
     return sorted(range(len(member)), key=count.__getitem__)
 
 
+def _mcs_order(adj):
+    """Maximum-cardinality-search order of the adjacency sets adj.
+
+    Next is the unordered vertex with the most ordered neighbors, ties by
+    degree, descending, then by id (Tarjan and Yannakakis 1984); so the first
+    vertex, and the first of each further component, where every count is
+    0, is one of largest degree.  A heap holds one entry per count a vertex
+    has had; an entry whose count is no longer the vertex's is skipped.
+    """
+    key = [0] * len(adj)  # minus the ordered neighbors; None once ordered
+    heap = [(0, -len(a), v) for v, a in enumerate(adj)]
+    heapify(heap)
+    order = []
+    while heap:
+        k, _, v = heappop(heap)
+        if k != key[v]:
+            continue
+        key[v] = None
+        order.append(v)
+        for u in adj[v]:
+            if key[u] is not None:
+                key[u] -= 1
+                heappush(heap, (key[u], -len(adj[u]), u))
+    return order
+
+
 def _first_fit(adj, lists):
     """_search's first descent in proper mode: the coloring, or None at a dead end.
 
@@ -176,15 +209,17 @@ def _proper_list_coloring(g, lists):
     return _first_fit(g.adj, lists) or _search(g.n, *_constraints(g, "proper", 0), lists=lists)
 
 
-def _search(n, edges, need, graph, lists=None, k=None):
+def _search(n, edges, need, graph, lists=None, k=None, order=None):
     """The first valid coloring in search order, or None.
 
     Valid: every edge j holds need[j] distinct colors, and on a graph
     (graph is True, edge v being N(v)) no vertex v shares a color with N(v).
-    Exactly one of lists (colors of v ascending from lists[v]) and k (colors
-    1..k in first-use order: those used so far, then one fresh) drives it;
+    Vertices go in the given order, by default _order's (degree).  Exactly
+    one of lists (colors of v ascending from lists[v]) and k (colors 1..k in
+    first-use order: those used so far, then one fresh) drives it;
     first-use order finds a coloring whenever 1..k admits one, since
-    validity does not depend on the names of the colors.
+    validity does not depend on the names of the colors.  Nor does it depend
+    on the vertex order, which moves only which coloring comes first.
 
     A branch ends, after v takes c, when an edge holds more repeats than
     len(e) - need allows (spare), or when forward checking finds an
@@ -206,7 +241,8 @@ def _search(n, edges, need, graph, lists=None, k=None):
     for j, e in enumerate(edges):
         for v in e:
             member[v].append(j)
-    order = _order(member)
+    if order is None:
+        order = _order(member)
     spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
     repeats = [0] * len(edges)
     mult = [{} for _ in edges]  # color -> count on the colored members of each edge
@@ -342,5 +378,23 @@ def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
     """Least k such that lists {1..k} everywhere admit a valid coloring.
 
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
+    Whether 1..k admit one does not depend on the order in which the search
+    visits vertices, so on a graph every k is decided in _mcs_order, the
+    maximum-cardinality-search order: each vertex comes next to as many
+    colored ones as it can, so a clash shows while the branch is short.  In
+    degree order, ties by id, a regular graph is colored in label order, and
+    a relabelled one in scattered pieces that clash late.  A hypergraph goes
+    to _least_k, in degree order; ordering by co-membership did not help
+    there.  On a graph the k run up from _least_k's lower bound.
     """
-    return _least_k(x, mode, r, max_n)[0]
+    if not isinstance(x, Graph):
+        return _least_k(x, mode, r, max_n)[0]
+    edges, need, graph = _constraints(x, mode, r)
+    _check_cap(x.n, max_n)
+    if x.n == 0:
+        return 0
+    order = _mcs_order(x.adj)
+    k = max([1, *need]) + (x.m > 0)
+    while _search(x.n, edges, need, graph, k=k, order=order) is None:
+        k += 1
+    return k

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coloring import _check_r, _least_k, chi_exact, is_r_dynamic, is_r_strong
+from .coloring import _check_cap, _check_r, _least_k, chi_exact, is_r_dynamic, is_r_strong
 from .graphs import Hypergraph, incidence_graph, is_bipartite, is_k_degenerate
 
 _PARTITION_TRIES = 1000
@@ -137,11 +137,14 @@ def construction_report(h: Hypergraph, r, k, seed, max_n=12):
     the validity and color count of the lifted coloring, and the two
     comparisons strong <= dynamic and dynamic <= strong + r.  The lifted
     coloring starts from the r-strong coloring that the least-k search ends
-    on.  max_n guards both exact searches (the incidence graph is the larger
-    instance).
+    on.  max_n guards both exact searches, and both sizes are checked before
+    either runs: the augmented hypergraph's first, then the incidence graph's,
+    the larger instance.
     """
     aug = augment(h, r, k, seed)
     g = incidence_graph(aug.hyper)[0]
+    _check_cap(aug.hyper.n, max_n)
+    _check_cap(g.n, max_n)
     strong, f = _least_k(aug.hyper, "strong", r, max_n)
     alphas = tuple(range(strong + 1, strong + r + 1))
     lifted = lift_coloring(aug, f, alphas)  # raises unless r-dynamic on g

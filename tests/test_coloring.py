@@ -18,7 +18,7 @@ from dyncolor import (
     is_r_strong,
     solve_list_coloring,
 )
-from dyncolor.coloring import _constraints, _first_fit, _least_k, _normalize_lists, _search
+from dyncolor.coloring import _constraints, _first_fit, _least_k, _mcs_order, _normalize_lists, _search
 from .helpers import (
     oracle_chi,
     oracle_first_coloring,
@@ -245,6 +245,9 @@ CLOSED_FORM_CASES = [
     ("complete_bipartite", 2, {"a": 8, "b": 8}),
     ("complete_bipartite", 3, {"a": 3, "b": 5}),
     ("complete_bipartite", 3, {"a": 4, "b": 4}),
+    # in degree order each relabelling of these ran past 20 s
+    ("cycle", 2, {"n": 60}),
+    ("cycle", 2, {"n": 100}),
 ]
 
 
@@ -254,12 +257,29 @@ CLOSED_FORM_CASES = [
     ids=[f"{f}{'_'.join(map(str, p.values()))}-r{r}" for f, r, p in CLOSED_FORM_CASES],
 )
 def test_chi_exact_equals_the_closed_form_after_relabelling(family, r, params):
-    # past the oracle's reach; each relabelling moves the search order, so
-    # the search backtracks and forward checking cuts many of its branches
+    # past the oracle's reach; chi_exact decides each k in maximum-cardinality-
+    # search order, which a relabelling moves only where it breaks ties by id
     g = generate(family, **params)
     want = _closed_form_chi(family, r, **params)
     for seed in range(4):
         assert chi_exact(_relabelled(g, seed), mode="dynamic", r=r, max_n=g.n) == want
+
+
+def test_mcs_order():
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (1, 6), (3, 7), (3, 8), (9, 10), (10, 11)]
+    adj = [set() for _ in range(13)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order = _mcs_order(adj)
+    assert sorted(order) == list(range(13))
+    # 1 has the largest degree; of its neighbors 0 (degree 3) goes first.
+    # Then 2, with two ordered neighbors, beats 3, with one and degree 3.
+    # Then 3 by degree, and 4..8, one ordered neighbor and degree 1 each,
+    # by id.  The path 9-10-11 starts at 10, its vertex of largest degree,
+    # and the isolated 12 comes last.
+    assert order == [1, 0, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11, 12]
+    assert _mcs_order([]) == []
 
 
 def test_chi_exact_guards():
@@ -399,7 +419,8 @@ def small_hypergraphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(g=small_graphs())
 def test_least_k_coloring_is_first_from_full_lists(mode, r, g):
-    # construction_report lifts this coloring in place of a second search
+    # _least_k goes in degree order and chi_exact, on a graph, in _mcs_order,
+    # so the first assertion checks one order's k against the other's
     k, coloring = _least_k(g, mode, r, g.n)
     assert k == chi_exact(g, mode, r)
     assert coloring == solve_list_coloring(g, full_lists(g.n, k), mode, r)
@@ -411,6 +432,7 @@ def test_least_k_coloring_is_first_from_full_lists(mode, r, g):
 @settings(max_examples=100, deadline=None)
 @given(h=small_hypergraphs())
 def test_least_k_strong_coloring_is_first_from_full_lists(r, h):
+    # construction_report lifts this coloring in place of a second search
     k, coloring = _least_k(h, "strong", r, h.n)
     assert k == chi_exact(h, mode="strong", r=r)
     assert coloring == solve_list_coloring(h, full_lists(h.n, k), mode="strong", r=r)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from dyncolor import coloring as coloring_mod
 from dyncolor import constructions as constructions_mod
 from dyncolor import (
     augment,
@@ -159,6 +160,26 @@ def test_construction_report_cap():
     p5 = build_hypergraph(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])
     with pytest.raises(ValueError):
         construction_report(p5, 2, 2, seed=0, max_n=12)  # incidence graph has 16 vertices
+
+
+def test_construction_report_checks_both_caps_before_any_search(monkeypatch):
+    # the 9-vertex augmented hypergraph fits the cap, its 22-vertex incidence
+    # graph does not; no exact search may run before the cap error
+    sizes = []
+    search = coloring_mod._search
+
+    def spy(n, *args, **kwargs):
+        sizes.append(n)
+        return search(n, *args, **kwargs)
+
+    monkeypatch.setattr(coloring_mod, "_search", spy)
+    h = parse_hypergraph("h 7 4\n1 2\n2 3\n3 4\n5 6\n")
+    with pytest.raises(ValueError, match=r"^n=22 exceeds cap 12; pass max_n to override$"):
+        construction_report(h, 3, 3, 4, max_n=12)
+    # over both caps, the augmented hypergraph's n is the one named
+    with pytest.raises(ValueError, match=r"^n=9 exceeds cap 8; pass max_n to override$"):
+        construction_report(h, 3, 3, 4, max_n=8)
+    assert sizes == []
 
 
 def test_construction_report_pins_the_bench_base():
