@@ -4,7 +4,10 @@ All structured output is JSON on stdout (keys sorted, so identical inputs
 give byte-identical bytes); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when the computation itself reports infeasibility (no coloring,
 invalid check), 2 on input or usage errors, 3 on an internal error (a failed
-invariant check or exhausted recursion, reported as one line on stderr).
+invariant check or exhausted recursion, reported as one line on stderr), 4
+when the process runs out of memory (one line on stderr; an instance too
+large for the memory the process may use is neither infeasible nor an
+internal error).
 """
 
 from __future__ import annotations
@@ -226,6 +229,9 @@ def main(argv=None) -> int:
     except (AssertionError, RecursionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -25,8 +25,14 @@ sublist" directly by the transversal module's depth-bounded hitting-set
 search, on one int bitset per sublist: each color gets a bit of its own the
 first time a sublist holds it, so colors may be any orderable values, and
 only the masks of redrawn sublists are rebuilt.  At r = 2 that search is a
-single running AND of the neighbor masks, written out in the loop.  The
-candidate family of the transversal module is not built on this path.
+single running AND of the neighbor masks, written out in the loop.  From
+r = 3 on, where nearly every check answers "not bad", the search first
+packs: one greedy pass from a smallest neighbor sublist keeps the sublists
+disjoint from those kept so far, and r pairwise-disjoint ones need r
+distinct colors, so the check ends without branching.  The pass starts
+from the smallest sublist because that is the one the search branches on
+when the packing falls short.  The candidate family of the transversal
+module is not built on this path.
 
 Every draw is that of Random.sample, sorted.  Each call that draws
 (`sample_sublists`, `resample_until_clear` and the experiments'

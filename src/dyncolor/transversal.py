@@ -3,11 +3,15 @@
 A transversal is a vertex set meeting every edge.  has_small_transversal
 decides whether one of size at most r exists, on any hypergraph, with
 _hit_by_at_most: a depth-bounded search that branches on a smallest edge and
-stops at the first transversal.  The search reads each edge as a Python int
-used as a bitset, built by _mask: each vertex id (or, for the sublist
-bad-event check, each color) gets the next free bit the first time it is
-seen, so the ints stay as wide as the number of distinct ids, whatever their
-values.  Dropping the edges a pick meets and intersecting the rest are then
+stops at the first transversal (the d-Hitting-Set search tree, as in
+Niedermeier and Rossmanith 2003).  From two picks on, each level first packs
+greedily: starting from that smallest edge, it keeps every edge disjoint
+from those kept so far, and k + 1 pairwise-disjoint edges refute a
+k-transversal without any branching, since a packing is never larger than
+a transversal.  The search reads each edge as a Python int used as a
+bitset, built by _mask: each vertex id (or, for the sublist bad-event check,
+each color) gets the next free bit the first time it is seen, so the ints
+stay as wide as the number of distinct ids, whatever their values.  Dropping the edges a pick meets and intersecting the rest are then
 single int operations.
 
 candidate_family, the paper's constructive object and the tests' reference,
@@ -104,7 +108,17 @@ def _hit_by_at_most(masks, k) -> bool:
     The d-Hitting-Set search tree: some bit of a smallest mask must be
     picked, so branch on each of them and drop the masks it meets.  One pick
     left means the remaining masks share a bit, so the last level is a
-    running AND that stops as soon as it is 0.  At k = 2 that AND is
+    running AND that stops as soon as it is 0.
+
+    From two picks on, each level first packs: one greedy pass, seeded with
+    the smallest mask, keeps every mask disjoint from the union of those
+    kept so far.  Pairwise-disjoint masks need a pick each, so k + 1 of them
+    answer False before any branching.  The seed is a smallest mask so that,
+    when the packing falls short, the branching stays on the narrowest mask,
+    also when masks differ in size.  At k = 2 a transversal takes one bit of
+    the smallest mask and one of the second mask kept, which every first
+    pick misses, so the running AND that decides the second pick starts
+    from that mask instead of all bits, and reaches 0 sooner.  That AND is
     inlined into the branching loop, saving a filtered list and a call per
     branch; recursing instead made lll_dense operations about a third
     slower.  Depth is at most k and the search stops at the first
@@ -123,12 +137,20 @@ def _hit_by_at_most(masks, k) -> bool:
                 return False
         return True
     smallest = min(masks, key=int.bit_count)
+    union, packed = smallest, []
+    for m in masks:
+        if not m & union:
+            packed.append(m)
+            if len(packed) == k:  # with smallest, k + 1 disjoint masks
+                return False
+            union |= m
+    start = packed[0] if packed else -1
     while smallest:
         bit = smallest & -smallest
         smallest ^= bit
         if k == 2:
             # the k == 1 case on the masks missing bit, without building them
-            common = -1
+            common = start
             for m in masks:
                 if not m & bit:
                     common &= m

@@ -301,6 +301,19 @@ def test_internal_errors_exit_3(ws, capsys, monkeypatch, error):
     assert err == f"internal error: {error.__name__}: invariant broken\n"
 
 
+def test_memory_error_exits_4(ws, capsys, monkeypatch):
+    # running out of memory is neither infeasibility (1) nor a failed invariant (3)
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(coloring, "solve_list_coloring", exhausted)
+    g = ws("g.txt", C4)
+    lists = ws("l.json", json.dumps({str(v): [1, 2] for v in range(4)}))
+    code, out, err = run(capsys, ["solve", "--graph", g, "--lists", lists])
+    assert code == 4 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_output_is_stable(ws, capsys):
     g = ws("g.txt", C4)
     lists = ws("l.json", json.dumps({str(v): [1, 2, 3, 4] for v in range(4)}))

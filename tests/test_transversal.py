@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -180,3 +181,67 @@ def test_has_small_transversal_sparse_large_n():
     h = build_hypergraph(n, [{0, n - 1}, {1, n - 1}, {2, 3}])
     assert not has_small_transversal(h, 1)
     assert has_small_transversal(h, 2)
+
+
+def _packs(edges, size):
+    """True when some size edges are pairwise disjoint."""
+    return any(
+        all(not a & b for a, b in itertools.combinations(chosen, 2))
+        for chosen in itertools.combinations(edges, size)
+    )
+
+
+def _sweep_instances():
+    # about 2,000 seeded instances where the kernel's packing pass fires:
+    # up to 10 edges on ids 0..11 (empty and repeated edges included), and
+    # lists shaped like the resampling check's neighbor sublists: 8 sublists
+    # of 9 colors from 96 at k = 2 (lll_dense) and 8 of 4 from 24 at k = 3
+    rng = random.Random(2603)
+    for _ in range(1500):
+        edges = []
+        for _ in range(rng.randint(0, 10)):
+            if edges and rng.random() < 0.1:
+                edges.append(rng.choice(edges))
+            else:
+                edges.append(frozenset(rng.sample(range(12), rng.choice([0, 1, 2, 2, 3, 3, 4, 5]))))
+        yield 12, edges, range(5)
+    for _ in range(250):
+        yield 96, [frozenset(rng.sample(range(96), 9)) for _ in range(8)], (2,)
+    for _ in range(250):
+        yield 24, [frozenset(rng.sample(range(24), 4)) for _ in range(8)], (3,)
+
+
+def test_hit_by_at_most_seeded_sweep_where_packing_fires():
+    seen = set()
+    for n, edges, ks in _sweep_instances():
+        h = Hypergraph(n=n, edges=tuple(edges))
+        bits = {}
+        masks = [_mask(e, bits) for e in edges]
+        for k in ks:
+            want = oracle_has_small_transversal(h, k)
+            assert _hit_by_at_most(masks, k) == want, (edges, k)
+            assert has_small_transversal(h, k) == want
+            if k >= 2:
+                seen.add((_packs(edges, k + 1), want))
+    # at k >= 2: "no" with and without a (k + 1)-packing, and "yes"
+    assert {(True, False), (False, False), (False, True)} <= seen
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_hit_by_at_most_packing_pins(k):
+    # k + 1 pairwise-disjoint edges need k + 1 picks
+    disjoint = [frozenset({2 * i, 2 * i + 1}) for i in range(k + 1)]
+    bits = {}
+    assert not _hit_by_at_most([_mask(e, bits) for e in disjoint], k)
+    # exactly k of them, with every other edge met by the picks 0, 2, ...,
+    # has a transversal of size k
+    crossing = [frozenset({2 * i, 2 * i + 3}) for i in range(k - 1)]
+    if k:
+        crossing.append(frozenset({0, 7, 9}))
+    edges = disjoint[:k] + crossing
+    bits = {}
+    assert _hit_by_at_most([_mask(e, bits) for e in edges], k)
+    assert oracle_has_small_transversal(Hypergraph(n=2 * k + 10, edges=tuple(edges)), k)
+    # an empty edge is met by nothing, at every k
+    assert not _hit_by_at_most([_mask(e, {}) for e in [frozenset(), frozenset({0})]], k)
+    assert not _hit_by_at_most([0], k)
