@@ -1,5 +1,5 @@
-"""Exact choosability: the k-core, polynomial certificates, then one
-forall-lists / exists-coloring search.
+"""Exact choosability: the k-core, polynomial certificates, a k-coloring
+test, then one forall-lists / exists-coloring search.
 
 A graph is k-choosable when every assignment of k-color lists admits a
 valid coloring.  In proper mode only, `is_k_choosable` decides in this
@@ -17,8 +17,13 @@ order:
   k-choosable.
 
 Dynamic mode, strong mode and every proper component the certificates leave
-open go to the search.  It takes `coloring._constraints` as they are and
-sees hyperedges that each need some number of distinct colors: on a graph,
+open meet one more rung before the search: ch >= chi, so when the lists
+1..k everywhere admit no valid coloring the answer is False.  One
+first-use `coloring._search` decides that, as `chi_exact` decides a k (in
+`_mcs_order` on a graph); it refutes K_4 at k = 3 in a few dozen
+microseconds, where the search below enumerates list assignments.  Then the
+search: it takes `coloring._constraints` as they are and sees hyperedges
+that each need some number of distinct colors: on a graph,
 first each edge as a hyperedge of its two ends with need 2 (properness),
 then the mode's edges (needs below 2 hold on any coloring and are dropped).
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import _check_cap, _constraints, _mcs_order
+from .coloring import _check_cap, _constraints, _mcs_order, _search
 from .graphs import Graph, Hypergraph, _core_numbers, build_graph, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
@@ -64,7 +69,17 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
         return True
     if mode == "proper":
         return all(_core_choosable(c, k) for c in _core_components(x, k))
-    return _all_lists_colorable(x.n, *constraints, k)
+    return _colorable(x, constraints, k) and _all_lists_colorable(x.n, *constraints, k)
+
+
+def _colorable(x, constraints, k):
+    """Whether colors 1..k admit a valid coloring of x: ch >= chi, so False answers.
+
+    One first-use search, as chi_exact decides a k: in _mcs_order on a graph,
+    in degree order on a hypergraph.
+    """
+    order = _mcs_order(x.adj) if constraints[2] else None
+    return _search(x.n, *constraints, k=k, order=order) is not None
 
 
 def _core_components(g, k):
@@ -94,7 +109,8 @@ def _core_choosable(c, k):
         return ok and len(c.adj[hubs[0]] & c.adj[hubs[1]]) >= 2
     if is_bipartite(c) and _orientable(c, k - 1):
         return True
-    return _all_lists_colorable(c.n, *_constraints(c, "proper", 0), k)
+    constraints = _constraints(c, "proper", 0)
+    return _colorable(c, constraints, k) and _all_lists_colorable(c.n, *constraints, k)
 
 
 def _orientable(g, cap):

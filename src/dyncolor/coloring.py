@@ -7,12 +7,16 @@ one place a mode becomes constraints, and its docstring states the rule.
 Vertices go by the number of edges containing them, descending, ties by id
 (on graphs: by degree); colors ascend through each vertex's list, or through
 1..k in first-use order.  A branch ends when an edge takes more repeats
-than it can afford, or by forward checking (Haralick and Elliott 1980) when
+than it can afford; by forward checking (Haralick and Elliott 1980) when
 an uncolored vertex has no candidate color left: on a graph, every color of
 its list (or 1..k) is on its neighborhood or, under the need rule, on a
-saturated edge containing it (see `_search`).  Both cuts remove only
-branches that hold no valid coloring, so the first leaf in this order, and
-every coloring returned, is the one a search without them would return.
+saturated edge containing it; or by a distinct-color bound, the counting
+filter of an NValue constraint (Bessiere, Hebrard, Hnich, Kiziltan and
+Walsh 2006), when an edge that just took a repeat cannot reach its need
+from the colors its uncolored members can still take (see `_search`).
+All three cuts remove only branches that hold no valid coloring, so the
+first leaf in this order, and every coloring returned, is the one a search
+without them would return.
 The exact chromatic numbers are the least k at which the first-use search
 succeeds (`_least_k`).  Whether one does is the same in every vertex order,
 so `chi_exact` decides each k on a graph in maximum-cardinality-search
@@ -30,10 +34,12 @@ Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
 (the defaults are the supported scale, not hard limits).
 
-Choosability (`is_k_choosable`) lives in the `choosability` module: one
-forall-lists / exists-coloring search that fills lists in `_mcs_order` of
-its co-membership graph and carries the set of feasible colorings
-projected onto the boundary, memoized up to color renaming.
+Choosability (`is_k_choosable`) lives in the `choosability` module: a
+first-use `_search` over 1..k answers False when it finds no coloring
+(ch >= chi); otherwise one forall-lists / exists-coloring search fills
+lists in `_mcs_order` of its co-membership graph and carries the set of
+feasible colorings projected onto the boundary, memoized up to color
+renaming.
 """
 
 from __future__ import annotations
@@ -231,9 +237,16 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
     neighbors whose N gained c, against N's colors, and the uncolored
     members of v's saturated edges, each once however many such edges share
     it, against N(u)'s colors plus those of every saturated edge containing
-    u.  Every completion of a cut branch breaks some constraint, so the
-    depth-first order finds the same first leaf as a search without these
-    cuts.
+    u.  The third cut is the distinct-color bound: an unsaturated edge j on
+    which c is a repeat and which holds fewer than need[j] colors must still
+    find need[j] - (colors held) colors it does not hold among the
+    candidates of its uncolored members, less on a graph those on each
+    member's N (avoid rule); the scan stops once it has them.  Each
+    uncolored member adds at most one color, and a colored vertex keeps its
+    color below this node, so when the scan falls short no completion meets
+    j's need.  Every completion of a cut branch breaks some constraint, so
+    the depth-first order finds the same first leaf as a search without
+    these cuts.
     """
     if n == 0:
         return []
@@ -247,7 +260,10 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
     repeats = [0] * len(edges)
     mult = [{} for _ in edges]  # color -> count on the colored members of each edge
     taken = mult if graph else [()] * n  # the colors on N(v), which v may not take
-    size = [k] * n if lists is None else [len(c) for c in lists]  # candidates per vertex
+    if lists is None:  # the colors each vertex may take, and how many
+        cands, size = [range(1, k + 1)] * n, [k] * n
+    else:
+        cands, size = lists, [len(c) for c in lists]
     color = [None] * n
     top = [0] * (n + 1)  # first-use order: the largest color on order[:depth]
     # An explicit stack of color iterators, one per depth, so that the search
@@ -295,6 +311,22 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
                 repeats[j] += 1
                 if repeats[j] > spare[j]:
                     pruned = True
+                elif look and not pruned and len(mj) < need[j] and repeats[j] < spare[j]:
+                    # distinct-color bound.  The N(u) this loop has yet to
+                    # reach lack only c, which j holds, so they exclude here
+                    # what they will exclude once updated
+                    want = need[j] - len(mj)
+                    fresh = set()
+                    for u in edges[j]:
+                        if color[u] is None:
+                            held = taken[u]
+                            for d in cands[u]:
+                                if d not in mj and d not in held:
+                                    fresh.add(d)
+                            if len(fresh) >= want:
+                                break
+                    else:
+                        pruned = True
             else:
                 mj[c] = 1
                 if (  # avoid rule: c is new on N(j)
@@ -361,11 +393,14 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     ascending.  A branch dies as soon as some edge can no longer reach its
     need even if every uncolored member brings a fresh color (on a full
     assignment that test is the exact condition, so accepted leaves are
-    valid), or when forward checking leaves an uncolored vertex no color of
+    valid), when forward checking leaves an uncolored vertex no color of
     its list: all of them are on its neighborhood (graphs) or held by
-    saturated edges containing it, edges that can afford no further repeat.
-    Both cuts keep every branch that holds a valid coloring, so the result
-    is the first valid coloring in that order.
+    saturated edges containing it, edges that can afford no further repeat,
+    or when an edge that just took a repeat finds too few colors it lacks
+    in its uncolored members' lists (less, on a graph, the colors on each
+    member's neighborhood) to reach its need, as each member adds at most
+    one.  The cuts keep every branch that holds a valid coloring, so the
+    result is the first valid coloring in that order.
     """
     constraints = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)
@@ -385,7 +420,10 @@ def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
     degree order, ties by id, a regular graph is colored in label order, and
     a relabelled one in scattered pieces that clash late.  A hypergraph goes
     to _least_k, in degree order; ordering by co-membership did not help
-    there.  On a graph the k run up from _least_k's lower bound.
+    there.  On a graph the k run up from _least_k's lower bound.  Refuting
+    a k is most of the work; on K_{a,b} the search's distinct-color bound
+    ends a branch as soon as a neighborhood takes a repeat that the colors
+    left to its uncolored members cannot make up.
     """
     if not isinstance(x, Graph):
         return _least_k(x, mode, r, max_n)[0]

@@ -142,6 +142,9 @@ DUMBBELL = build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6
 FIGURE_EIGHT = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
 C4_PATH_C4 = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 8), (8, 4), (4, 5), (5, 6), (6, 7), (7, 4)])
 CUBE = build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+# hub 4 on the rim 0-1-2-3: K_{1,2,2}, 3-colorable and 3-choosable
+W4 = build_graph(5, list(cycle(4).edges) + [(4, v) for v in range(4)])
+K4 = generate("complete", n=4)
 C6_WITH_TREE = build_graph(9, list(cycle(6).edges) + [(0, 6), (6, 7), (6, 8)])
 
 
@@ -206,18 +209,29 @@ def test_cube_choosability_is_3(searches):
 
 
 def test_uncertified_cases_reach_the_search(searches):
-    # K_4 is 3-degenerate and not bipartite: no certificate applies
-    assert not is_k_choosable(generate("complete", n=4), 3)
+    # the wheel W_4 is its own 3-core, 3-colorable and not bipartite: no
+    # certificate applies and 1..3 color it
+    assert is_k_choosable(W4, 3)
     # the certificates are proper-mode only; dynamic r=1 is proper coloring
     assert is_k_choosable(cycle(8), 2, mode="dynamic", r=1)
-    assert searches == [4, 8]
+    assert searches == [5, 8]
 
 
 def test_low_degree_vertices_stay_out_of_the_search(searches):
-    # K_4 plus a pendant vertex: the pendant is peeled off the 3-core
-    g = build_graph(5, list(generate("complete", n=4).edges) + [(3, 4)])
-    assert not is_k_choosable(g, 3)
-    assert searches == [4]
+    # W_4 plus a pendant vertex: the pendant is peeled off the 3-core
+    g = build_graph(6, list(W4.edges) + [(3, 5)])
+    assert is_k_choosable(g, 3)
+    assert searches == [5]
+
+
+def test_not_k_colorable_is_not_k_choosable_without_search(searches):
+    # ch >= chi: chi(K_4) = 4, and C_5 takes 5 colors 2-dynamically
+    # (chi_2(C_5) = 5), so one first-use coloring search answers
+    assert not is_k_choosable(K4, 3)
+    assert not is_k_choosable(cycle(5), 4, mode="dynamic", r=2)
+    h = build_hypergraph(4, [{0, 1, 2}, {1, 2, 3}, {0, 3}])
+    assert not is_k_choosable(h, 2, mode="strong", r=3)
+    assert searches == []
 
 
 def test_search_runs_on_the_3_core_alone(searches):
@@ -249,14 +263,14 @@ def connected(g):
     return len(seen) == g.n
 
 
-K4 = generate("complete", n=4)
 K5_MINUS_EDGE = build_graph(5, [e for e in generate("complete", n=5).edges if e != (0, 1)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=low_degree_extensions())
-# random edge sets on 5 vertices seldom have a 3-core, so two cases that
-# reach the search are pinned
+# random edge sets on 5 vertices seldom have a 3-core, so two cases with one
+# are pinned; both cores take 4 colors, so the k-coloring test answers them
+# before the search (W_4's core reaches it in the tests above)
 @example(case=(K4, build_graph(6, list(K4.edges) + [(0, 4), (1, 4), (4, 5)]), 3))
 @example(case=(K5_MINUS_EDGE, build_graph(6, list(K5_MINUS_EDGE.edges) + [(0, 5), (1, 5)]), 3))
 def test_vertices_of_degree_below_k_change_nothing(case):

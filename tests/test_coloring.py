@@ -245,6 +245,10 @@ CLOSED_FORM_CASES = [
     ("complete_bipartite", 2, {"a": 8, "b": 8}),
     ("complete_bipartite", 3, {"a": 3, "b": 5}),
     ("complete_bipartite", 3, {"a": 4, "b": 4}),
+    # the distinct-color bound's cases: without it K_{8,8} at r = 3 took
+    # 2.5 times as long, and K_{10,10} at r = 2 over 20 times
+    ("complete_bipartite", 3, {"a": 8, "b": 8}),
+    ("complete_bipartite", 2, {"a": 10, "b": 10}),
     # in degree order each relabelling of these ran past 20 s
     ("cycle", 2, {"n": 60}),
     ("cycle", 2, {"n": 100}),
@@ -366,6 +370,56 @@ def test_forward_checking_keeps_the_first_coloring_on_tight_lists():
         h = build_hypergraph(7, edges)
         for r in (2, 3):
             assert solve_list_coloring(h, lists, "strong", r) == oracle_first_coloring(h, lists, "strong", r)
+
+
+def test_distinct_color_bound_keeps_the_first_coloring():
+    # lists from a small palette leave an edge that takes a repeat short of
+    # colors its uncolored members can still bring, so the distinct-color
+    # bound fires: on one side of a dense bipartite graph, and on large
+    # hyperedges whose members' 2-color lists overlap.  A bound that counted
+    # a color no completion can add would return a later coloring, or None
+    rng = random.Random(27)
+    for seed in range(60):
+        a = 3 + seed % 2
+        g = build_graph(7, [(u, v) for u in range(a) for v in range(a, 7) if rng.random() < 0.85])
+        lists = random_lists(7, 3, range(1, 5), rng)
+        for r in (2, 3):
+            assert solve_list_coloring(g, lists, "dynamic", r) == oracle_first_coloring(g, lists, "dynamic", r)
+        edges = [rng.sample(range(7), rng.choice((4, 5))) for _ in range(5)]
+        h = build_hypergraph(7, edges)
+        lists = random_lists(7, 2, range(1, 3 + seed % 2), rng)
+        for r in (3, 4):
+            assert solve_list_coloring(h, lists, "strong", r) == oracle_first_coloring(h, lists, "strong", r)
+    # in first-use order the bound fires once all of 1..k are in use
+    for a, b in ((2, 4), (2, 5), (3, 4)):
+        g = generate("complete_bipartite", a=a, b=b)
+        for r in (2, 3):
+            for k in range(3, min(r, a) + min(r, b) + 1):
+                assert _search(g.n, *_constraints(g, "dynamic", r), k=k) == oracle_first_use_coloring(g, k, r)
+    for seed in range(40):
+        g = generate("gnp", seed=seed, n=9, p=0.5 + 0.1 * (seed % 3))
+        for k in (4, 5):
+            assert _search(g.n, *_constraints(g, "dynamic", 3), k=k) == oracle_first_use_coloring(g, k, 3)
+
+
+def oracle_first_use_coloring(g, k, r):
+    """The first valid r-dynamic coloring from 1..k in degree order, ties by id.
+
+    That is the lexicographically least one, which is in first-use form (a
+    color is at most one more than every color before it), so brute force
+    over the first-use forms alone finds it.
+    """
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    prefixes = [()]
+    for _ in order:
+        prefixes = [p + (c,) for p in prefixes for c in range(1, min(max(p, default=0) + 1, k) + 1)]
+    for combo in prefixes:
+        coloring = [None] * g.n
+        for v, c in zip(order, combo):
+            coloring[v] = c
+        if oracle_valid(g, coloring, r):
+            return coloring
+    return None
 
 
 @settings(max_examples=200, deadline=None)
