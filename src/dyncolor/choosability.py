@@ -18,9 +18,9 @@ order:
 
 Dynamic mode, strong mode and every proper component the certificates leave
 open meet one more rung before the search: ch >= chi, so when the lists
-1..k everywhere admit no valid coloring the answer is False.  One
-first-use `coloring._search` decides that, as `chi_exact` decides a k (in
-`_mcs_order` on a graph); it refutes K_4 at k = 3 in a few dozen
+1..k everywhere admit no valid coloring the answer is False.
+`coloring._least_k` at that single k decides it, the first-use decision
+`chi_exact` runs for every k; it refutes K_4 at k = 3 in a few dozen
 microseconds, where the search below enumerates list assignments.  Then the
 search: it takes `coloring._constraints` as they are and sees hyperedges
 that each need some number of distinct colors: on a graph,
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import _check_cap, _constraints, _mcs_order, _search
+from .coloring import _check_cap, _constraints, _least_k, _mcs_order
 from .graphs import Graph, Hypergraph, _core_numbers, build_graph, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
@@ -60,7 +60,7 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
 
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
     """
-    constraints = _constraints(x, mode, r)
+    _constraints(x, mode, r)  # the mode and r checks, first
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_cap(x.n, max_n)
@@ -69,17 +69,14 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
         return True
     if mode == "proper":
         return all(_core_choosable(c, k) for c in _core_components(x, k))
-    return _colorable(x, constraints, k) and _all_lists_colorable(x.n, *constraints, k)
+    return _choosable(x, k, mode, r)
 
 
-def _colorable(x, constraints, k):
-    """Whether colors 1..k admit a valid coloring of x: ch >= chi, so False answers.
-
-    One first-use search, as chi_exact decides a k: in _mcs_order on a graph,
-    in degree order on a hypergraph.
-    """
-    order = _mcs_order(x.adj) if constraints[2] else None
-    return _search(x.n, *constraints, k=k, order=order) is not None
+def _choosable(x, k, mode, r):
+    """The k-coloring rung, then the list search: ch >= chi, so no coloring from 1..k is False."""
+    if _least_k(x, mode, r, x.n, (k,))[0] is None:
+        return False
+    return _all_lists_colorable(x.n, *_constraints(x, mode, r), k)
 
 
 def _core_components(g, k):
@@ -109,8 +106,7 @@ def _core_choosable(c, k):
         return ok and len(c.adj[hubs[0]] & c.adj[hubs[1]]) >= 2
     if is_bipartite(c) and _orientable(c, k - 1):
         return True
-    constraints = _constraints(c, "proper", 0)
-    return _colorable(c, constraints, k) and _all_lists_colorable(c.n, *constraints, k)
+    return _choosable(c, k, "proper", 0)
 
 
 def _orientable(g, cap):

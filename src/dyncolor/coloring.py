@@ -18,28 +18,30 @@ All three cuts remove only branches that hold no valid coloring, so the
 first leaf in this order, and every coloring returned, is the one a search
 without them would return.
 The exact chromatic numbers are the least k at which the first-use search
-succeeds (`_least_k`).  Whether one does is the same in every vertex order,
-so `chi_exact` decides each k on a graph in maximum-cardinality-search
-order (`_mcs_order`: next the vertex with the most ordered neighbors), where
-a relabelling moves only ties.  Every other search keeps the degree order
-above: the list searches, whose first leaf is an output that tests pin,
-and `_least_k`, which `chi_exact` calls on hypergraphs and whose strong
-coloring `construction_report` lifts.  A proper list coloring first tries
-a first-fit descent (`_first_fit`) in that order: a descent that never
-dead-ends is a valid coloring, so no cut touches its path and its coloring
-is the search's first leaf.  `_proper_list_coloring` runs the search only
-after a dead end; `solve_list_coloring` and the sublist pipeline share it.
+succeeds, and every first-use decision goes through `_least_k`: `chi_exact`,
+`construction_report`, which lifts its strong coloring, and choosability's
+k-coloring rung at a single k.  Whether 1..k admit a valid coloring is the
+same in every vertex order, so `_least_k` searches a graph in
+maximum-cardinality-search order (`_mcs_order`: next the vertex with the
+most ordered neighbors), where a relabelling moves only ties and a clash
+shows while the branch is short, and a hypergraph in the degree order above;
+ordering by co-membership did not help there.  The list searches keep the
+degree order, because tests pin their first leaf.  A proper list coloring
+first tries a first-fit descent (`_first_fit`) in that order: a descent that
+never dead-ends is a valid coloring, so no cut touches its path and its
+coloring is the search's first leaf.  `_proper_list_coloring` runs the
+search only after a dead end; `solve_list_coloring` and the sublist
+pipeline share it.
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
 (the defaults are the supported scale, not hard limits).
 
-Choosability (`is_k_choosable`) lives in the `choosability` module: a
-first-use `_search` over 1..k answers False when it finds no coloring
-(ch >= chi); otherwise one forall-lists / exists-coloring search fills
-lists in `_mcs_order` of its co-membership graph and carries the set of
-feasible colorings projected onto the boundary, memoized up to color
-renaming.
+Choosability (`is_k_choosable`) lives in the `choosability` module:
+`_least_k` at k answers False when 1..k admit no coloring (ch >= chi);
+otherwise one forall-lists / exists-coloring search fills lists in
+`_mcs_order` of its co-membership graph and carries the set of feasible
+colorings projected onto the boundary, memoized up to color renaming.
 """
 
 from __future__ import annotations
@@ -361,28 +363,32 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
     return None
 
 
-def _least_k(x, mode, r, max_n):
-    """The least k at which colors 1..k admit a valid coloring, and the first one.
+def _least_k(x, mode, r, max_n, ks=None):
+    """The least k in ks at which colors 1..k admit a valid coloring, and the first one.
 
-    Starts at the trivial lower bound: the largest need, which alone takes
-    that many colors, plus one on a graph with an edge (a vertex of maximum
-    degree differs from its neighbors, which carry min(r, maxdeg) colors in
-    dynamic mode).  Terminates at k = n at the latest: the all-distinct
-    coloring is valid in every mode.  The coloring is the first from lists
-    1..k as well: that one is the lexicographically least valid coloring,
-    which is already in first-use form, so the first-use search reaches it
-    first.
+    The one first-use decision (see the module docstring for its callers and
+    its order).  The order is computed once per call, not per k.  The
+    coloring is the first leaf in that order: the lexicographically least
+    valid one along it, which is already in first-use form.  ks defaults to
+    the trivial lower bound up to n: the largest need, which alone takes that
+    many colors, plus one on a graph with an edge (a vertex of maximum degree
+    differs from its neighbors, which carry min(r, maxdeg) colors in dynamic
+    mode).  That range ends at k = n at the latest, since the all-distinct
+    coloring is valid in every mode; given ks with no colorable k, the result
+    is (None, None).
     """
     edges, need, graph = _constraints(x, mode, r)
     _check_cap(x.n, max_n)
     if x.n == 0:
         return 0, []
-    low = max([1, *need]) + (graph and x.m > 0)
-    for k in range(low, x.n + 1):
-        coloring = _search(x.n, edges, need, graph, k=k)
+    order = _mcs_order(x.adj) if graph else None
+    for k in ks or range(max([1, *need]) + (graph and x.m > 0), x.n + 1):
+        coloring = _search(x.n, edges, need, graph, k=k, order=order)
         if coloring is not None:
             return k, coloring
-    raise AssertionError("unreachable: n colors always suffice")
+    if ks is None:
+        raise AssertionError("unreachable: n colors always suffice")
+    return None, None
 
 
 def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
@@ -413,26 +419,10 @@ def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
     """Least k such that lists {1..k} everywhere admit a valid coloring.
 
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
-    Whether 1..k admit one does not depend on the order in which the search
-    visits vertices, so on a graph every k is decided in _mcs_order, the
-    maximum-cardinality-search order: each vertex comes next to as many
-    colored ones as it can, so a clash shows while the branch is short.  In
-    degree order, ties by id, a regular graph is colored in label order, and
-    a relabelled one in scattered pieces that clash late.  A hypergraph goes
-    to _least_k, in degree order; ordering by co-membership did not help
-    there.  On a graph the k run up from _least_k's lower bound.  Refuting
-    a k is most of the work; on K_{a,b} the search's distinct-color bound
-    ends a branch as soon as a neighborhood takes a repeat that the colors
-    left to its uncolored members cannot make up.
+    _least_k decides each k from the trivial lower bound up, in _mcs_order
+    on a graph and in degree order on a hypergraph.  Refuting a k is most of
+    the work; on K_{a,b} the search's distinct-color bound ends a branch as
+    soon as a neighborhood takes a repeat that the colors left to its
+    uncolored members cannot make up.
     """
-    if not isinstance(x, Graph):
-        return _least_k(x, mode, r, max_n)[0]
-    edges, need, graph = _constraints(x, mode, r)
-    _check_cap(x.n, max_n)
-    if x.n == 0:
-        return 0
-    order = _mcs_order(x.adj)
-    k = max([1, *need]) + (x.m > 0)
-    while _search(x.n, edges, need, graph, k=k, order=order) is None:
-        k += 1
-    return k
+    return _least_k(x, mode, r, max_n)[0]

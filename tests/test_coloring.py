@@ -402,14 +402,15 @@ def test_distinct_color_bound_keeps_the_first_coloring():
             assert _search(g.n, *_constraints(g, "dynamic", 3), k=k) == oracle_first_use_coloring(g, k, 3)
 
 
-def oracle_first_use_coloring(g, k, r):
-    """The first valid r-dynamic coloring from 1..k in degree order, ties by id.
+def oracle_first_use_coloring(g, k, r, order=None):
+    """The first valid r-dynamic coloring from 1..k along order (default: degree, ties by id).
 
-    That is the lexicographically least one, which is in first-use form (a
-    color is at most one more than every color before it), so brute force
-    over the first-use forms alone finds it.
+    That is the lexicographically least one along the order, which is in
+    first-use form (a color is at most one more than every color before it),
+    so brute force over the first-use forms alone finds it.
     """
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    if order is None:
+        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     prefixes = [()]
     for _ in order:
         prefixes = [p + (c,) for p in prefixes for c in range(1, min(max(p, default=0) + 1, k) + 1)]
@@ -452,17 +453,17 @@ def test_solve_strong_returns_first_coloring_in_search_order(r, case):
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, min_n=0, max_n=7):
     # repeated and reversed pairs collapse to one edge; no pairs is edgeless
-    n = draw(st.integers(min_value=0, max_value=7))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return build_graph(n, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
 
 
 @st.composite
-def small_hypergraphs(draw):
+def small_hypergraphs(draw, min_n=0, max_n=7):
     # duplicate and empty edges are kept; no edges is edgeless
-    n = draw(st.integers(min_value=0, max_value=7))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     edges = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5)) if n else []
     if edges and draw(st.booleans()):
         edges.append(edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))])
@@ -473,13 +474,38 @@ def small_hypergraphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(g=small_graphs())
 def test_least_k_coloring_is_first_from_full_lists(mode, r, g):
-    # _least_k goes in degree order and chi_exact, on a graph, in _mcs_order,
-    # so the first assertion checks one order's k against the other's
+    # on a graph _least_k searches in _mcs_order, so its coloring is the
+    # first valid first-use coloring along that order; the list search below
+    # goes in degree order
     k, coloring = _least_k(g, mode, r, g.n)
     assert k == chi_exact(g, mode, r)
-    assert coloring == solve_list_coloring(g, full_lists(g.n, k), mode, r)
+    assert coloring == oracle_first_use_coloring(g, k, r, _mcs_order(g.adj))
     if k > 1:
         assert solve_list_coloring(g, full_lists(g.n, k - 1), mode, r) is None
+
+
+@pytest.mark.parametrize("mode,r", GRAPH_MODES)
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(min_n=1, max_n=5), k=st.integers(min_value=1, max_value=6))
+def test_least_k_at_one_k_decides_that_k(mode, r, g, k):
+    # choosability's k-coloring rung: colors 1..k admit a coloring iff k >= chi
+    found, coloring = _least_k(g, mode, r, g.n, (k,))
+    if k >= oracle_chi(g, r):
+        assert found == k and max(coloring) <= k and oracle_valid(g, coloring, r)
+    else:
+        assert (found, coloring) == (None, None)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(h=small_hypergraphs(min_n=1, max_n=5), k=st.integers(min_value=1, max_value=6))
+def test_least_k_strong_at_one_k_decides_that_k(r, h, k):
+    found, coloring = _least_k(h, "strong", r, h.n, (k,))
+    if k >= oracle_strong_chi(h, r):
+        assert found == k and max(coloring) <= k
+        assert all(len({coloring[v] for v in e}) >= min(r, len(e)) for e in h.edges)
+    else:
+        assert (found, coloring) == (None, None)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
