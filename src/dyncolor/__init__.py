@@ -1,5 +1,7 @@
 """r-dynamic graph and hypergraph coloring toolkit."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     bad_event_bound,
     bounds_report,
@@ -61,58 +63,11 @@ from .transversal import (
     is_transversal,
 )
 
-# written out, so the submodules (io among them) stay out of a star import
+# Exported: every global not starting with _ that is not a module.  The imports
+# also bind the submodules as attributes, and a star import of io would shadow
+# the standard library.  Copied first: 3.12 inlines comprehensions (PEP 709).
 __all__ = [
-    "bounds_report",
-    "is_k_choosable",
-    "chi_exact",
-    "is_proper",
-    "is_r_dynamic",
-    "is_r_strong",
-    "solve_list_coloring",
-    "AugmentedHypergraph",
-    "augment",
-    "construction_report",
-    "lift_coloring",
-    "experiment_random_graphs",
-    "random_list_assignment",
-    "DegreeStats",
-    "Graph",
-    "Hypergraph",
-    "bipartition",
-    "build_graph",
-    "build_hypergraph",
-    "degeneracy",
-    "degree_stats",
-    "generate",
-    "incidence_graph",
-    "is_bipartite",
-    "is_k_degenerate",
-    "neighborhood_hypergraph",
-    "greedy_r_dynamic",
-    "parse_coloring",
-    "parse_graph",
-    "parse_hypergraph",
-    "parse_lists",
-    "serialize_coloring",
-    "serialize_graph",
-    "serialize_hypergraph",
-    "serialize_lists",
-    "PipelineResult",
-    "ResampleLog",
-    "SublistState",
-    "bad_event_bound",
-    "bad_event_holds",
-    "default_max_iters",
-    "dynamic_coloring_via_sublists",
-    "fixed_set_hits_all_bound",
-    "neighborhood_color_hypergraph",
-    "resample_until_clear",
-    "sample_sublists",
-    "sublist_condition_holds",
-    "sublist_condition_lhs",
-    "CandidateFamily",
-    "candidate_family",
-    "has_small_transversal",
-    "is_transversal",
+    name
+    for name, value in list(globals().items())
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
 ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dyncolor import build_graph, build_hypergraph, choosability, generate, is_k_choosable
-from dyncolor.choosability import _all_lists_colorable, _core_components, _orientable
+from dyncolor.choosability import MET, _all_lists_colorable, _core_components, _orientable, _renumber
 from dyncolor.coloring import _constraints
 from .helpers import oracle_gnp, oracle_is_k_choosable, oracle_k_core
 
@@ -86,6 +86,16 @@ def test_relabelled_c6_same_answer():
 def test_choosability_depth_not_bounded_by_recursion_limit():
     # one list per vertex, 1500 deep: the search keeps its own stack
     assert is_k_choosable(build_hypergraph(1500, []), 1, mode="strong", r=2, max_n=1500)
+
+
+def test_renumber_names_live_colors_densely_in_ascending_order():
+    # two state sets equal up to an order-preserving renaming of their live
+    # colors (3 -> 2, 7 -> 5, 9 -> 40): one memo key, with L live colors
+    a = {(frozenset({7, 3}), MET), (frozenset({9}), frozenset())}
+    b = {(frozenset({5, 2}), MET), (frozenset({40}), frozenset())}
+    key = frozenset({(frozenset({1, 2}), MET), (frozenset({3}), frozenset())})
+    assert _renumber(a) == _renumber(b) == (key, 3)
+    assert _renumber({(MET, MET)}) == (frozenset({(MET, MET)}), 0)
 
 
 def proper_search(g, k):
