@@ -14,9 +14,14 @@ saturated edge containing it; or by a distinct-color bound, the counting
 filter of an NValue constraint (Bessiere, Hebrard, Hnich, Kiziltan and
 Walsh 2006), when an edge that just took a repeat cannot reach its need
 from the colors its uncolored members can still take (see `_search`).
-All three cuts remove only branches that hold no valid coloring, so the
-first leaf in this order, and every coloring returned, is the one a search
-without them would return.
+All three cuts remove only branches that hold no valid coloring.  A fourth
+rule breaks a symmetry: twins, vertices in the same edges (on a graph: with
+the same neighborhood) and, in list mode, with the same list, take colors
+in ascending order along the search order.  Swapping two twins' colors
+keeps a coloring valid, so the lexicographically least valid coloring
+already does that; K_{12,12}'s chi_3 refutes k = 5 in milliseconds where it
+ran past a minute.  So the first leaf in this order, and every coloring
+returned, is the one a search without the cuts would return.
 The exact chromatic numbers are the least k at which the first-use search
 succeeds, and every first-use decision goes through `_least_k`: `chi_exact`,
 `construction_report`, which lifts its strong coloring, and choosability's
@@ -32,6 +37,12 @@ never dead-ends is a valid coloring, so no cut touches its path and its
 coloring is the search's first leaf.  `_proper_list_coloring` runs the
 search only after a dead end; `solve_list_coloring` and the sublist
 pipeline share it.
+
+A list's normal form is a sorted tuple of distinct, hashable colors, and
+the type `_Sorted` records that a list is in it: `_normalize_lists` builds
+every list it changes as one, and the sampler of `sublists` draws them from
+normalized lists, so lists that were parsed or drawn pass later
+normalizations after their length check alone.
 
 Solvers are exhaustive and meant for small instances; every public entry
 point with exponential behavior takes a size guard as a keyword parameter
@@ -78,22 +89,36 @@ def _check_cap(n, max_n, name="n"):
         raise ValueError(f"{name}={n} exceeds cap {max_n}; pass max_{name} to override")
 
 
+class _Sorted(tuple):
+    """A list in normal form: its colors distinct, ascending and hashed.
+
+    Only `_normalize_lists` and the sampler of `sublists`, drawing from such
+    lists, make one, so a list of this type needs no second look.
+    """
+
+    __slots__ = ()
+
+
 def _normalize_lists(n, lists, floor=1):
     """Each list as a sorted tuple of distinct colors, at least floor of them.
 
-    A strictly ascending tuple is one already and comes back as the same
-    object; it is hashed once, so unhashable colors raise TypeError as set()
-    would.  Any other value becomes tuple(sorted(set(colors))).  Drawn and
-    parsed lists are such tuples, so normalizing them again is one pass in C.
+    A `_Sorted` list is one already and comes back as the same object after
+    the floor check alone; parsed lists, and lists drawn from normalized
+    lists or from 1..universe, are of that type.  A plain strictly ascending
+    tuple is one too and also comes back as the same object, after one
+    ascending check and one hash (unhashable colors raise TypeError as
+    set() would).  Any other value becomes _Sorted(sorted(set(colors))).
     """
     _check_len(n, lists, "list assignment")
     out = []
     for v, colors in enumerate(lists):
-        if type(colors) is tuple and all(map(operator.lt, colors, colors[1:])):
+        if type(colors) is _Sorted:
+            t = colors
+        elif type(colors) is tuple and all(map(operator.lt, colors, colors[1:])):
             hash(colors)
             t = colors
         else:
-            t = tuple(sorted(set(colors)))
+            t = _Sorted(sorted(set(colors)))
         if len(t) < floor:
             raise ValueError(f"list at vertex {v} has {len(t)} colors, needs >= {floor}")
         out.append(t)
@@ -249,6 +274,15 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
     j's need.  Every completion of a cut branch breaks some constraint, so
     the depth-first order finds the same first leaf as a search without
     these cuts.
+
+    Twins: when u comes before v in the order, lies in the same edges (on a
+    graph: N(u) = N(v)) and, in list mode, has the same list, v tries only
+    colors from color[u] on: 1..k from color[u], or its list from color[u]'s
+    position.  Swapping the colors of two such vertices keeps a coloring
+    valid, so the lexicographically least valid coloring along the order,
+    the first leaf in both modes, already meets this rule; the rule keeps
+    that leaf and cuts only branches without it.  Each v is tied to the
+    last such u before it, from a table built in one pass over the order.
     """
     if n == 0:
         return []
@@ -258,6 +292,15 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
             member[v].append(j)
     if order is None:
         order = _order(member)
+    twin = [None] * n  # the last vertex before v with v's edges (and list), or None
+    last = {}
+    for v in order:
+        # on a graph member[v] holds the ids of N(v), so edges[v] (hash cached) is the key
+        key = edges[v] if graph else tuple(member[v])
+        if lists is not None:
+            key = key, lists[v]
+        twin[v] = last.get(key)
+        last[key] = v
     spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
     repeats = [0] * len(edges)
     mult = [{} for _ in edges]  # color -> count on the colored members of each edge
@@ -356,10 +399,12 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
                 continue
         if depth + 1 == n:
             return list(color)
+        w = order[depth + 1]
+        u = twin[w]
         if k is None:
-            stack.append(iter(lists[order[depth + 1]]))
+            stack.append(iter(lists[w] if u is None else lists[w][lists[u].index(color[u]):]))
         else:
-            stack.append(iter(range(1, min(used + 1, k) + 1)))
+            stack.append(iter(range(1 if u is None else color[u], min(used + 1, k) + 1)))
     return None
 
 
@@ -405,8 +450,10 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     or when an edge that just took a repeat finds too few colors it lacks
     in its uncolored members' lists (less, on a graph, the colors on each
     member's neighborhood) to reach its need, as each member adds at most
-    one.  The cuts keep every branch that holds a valid coloring, so the
-    result is the first valid coloring in that order.
+    one.  Twins, vertices in the same edges with the same list, take colors
+    in list order along the search order, as the first valid coloring does.
+    The cuts keep every branch that holds that coloring, so it is the
+    result.
     """
     constraints = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)
@@ -421,8 +468,9 @@ def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
     _least_k decides each k from the trivial lower bound up, in _mcs_order
     on a graph and in degree order on a hypergraph.  Refuting a k is most of
-    the work; on K_{a,b} the search's distinct-color bound ends a branch as
-    soon as a neighborhood takes a repeat that the colors left to its
-    uncolored members cannot make up.
+    the work; on K_{a,b} the vertices of a side are twins, which the search
+    colors in ascending order only, and its distinct-color bound ends a
+    branch as soon as a neighborhood takes a repeat that the colors left to
+    its uncolored members cannot make up.
     """
     return _least_k(x, mode, r, max_n)[0]

@@ -20,11 +20,13 @@ def random_list_assignment(n, size, universe, rng):
 
     The draws are those of one rng.sample(range(1, universe + 1), size)
     call per vertex, made by one sampler for all n, so a seeded rng always
-    gives the same lists.
+    gives the same lists.  The sampler draws from one list of 1..universe,
+    built once: copying it is faster than materializing the range per draw,
+    and the same items at the same positions give the same draws.
     """
     if universe < size:
         raise ValueError(f"universe {universe} smaller than list size {size}")
-    pool = range(1, universe + 1)
+    pool = list(range(1, universe + 1))
     draw = _sorted_sampler(rng, size)
     return [draw(pool) for _ in range(n)]
 

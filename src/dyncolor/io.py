@@ -104,7 +104,8 @@ def _load_json(text, what):
 def parse_lists(text, n):
     """Parse a JSON list assignment covering vertices 0..n-1.
 
-    Returns the lists by vertex, normalized by `_normalize_lists`.
+    Returns the lists by vertex, normalized by `_normalize_lists` into
+    `_Sorted` tuples, which later normalizations pass through unchecked.
     """
     obj = _load_json(text, "list assignment")
     if not isinstance(obj, dict):
@@ -121,9 +122,13 @@ def parse_lists(text, n):
             raise ValueError(f"vertex key {key!r} repeats vertex {v}")
         if not isinstance(colors, list) or not colors:
             raise ValueError(f"list for vertex {v} must be a nonempty array")
-        for c in colors:
-            if not _is_color(c):
-                raise ValueError(f"list for vertex {v} has a bad color {c!r}")
+        # JSON decodes numbers to exact int or float, and true/false to bool,
+        # so one pass over the types and one min check every color in C; the
+        # loop only names the first bad one
+        if {*map(type, colors)} != {int} or min(colors) < 0:
+            for c in colors:
+                if not _is_color(c):
+                    raise ValueError(f"list for vertex {v} has a bad color {c!r}")
         lists[v] = colors
     missing = [v for v in range(n) if lists[v] is None]
     if missing:

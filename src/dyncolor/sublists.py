@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass, field
 
 from .coloring import _check_len, _check_r, _check_slack, _is_color, _normalize_lists
-from .coloring import _proper_list_coloring, is_r_dynamic
+from .coloring import _Sorted, _proper_list_coloring, is_r_dynamic
 from .graphs import Graph, Hypergraph, degree_stats
 from .transversal import _hit_by_at_most, _mask
 
@@ -58,6 +58,9 @@ class SublistState:
     """Base lists plus the currently drawn sublists and the rng that drew them.
 
     r and slack (base size = sublist_size + slack + r - 2) stay None without r.
+    base holds normalized lists, as `sample_sublists` makes them; the
+    sampler marks its redraws from base as normalized, so a state built by
+    hand must hold normalized lists too.
     """
 
     base: list
@@ -107,7 +110,11 @@ def _sorted_sampler(rng, k):
     the last k slots hold the sample.  Its set-branch threshold and the tries
     (m, m.bit_length()) of each population size are worked out once per
     sampler; the set branch, subclasses of Random and an invalid k use
-    rng.sample.
+    rng.sample.  Its callers draw from normalized lists or from distinct
+    ints, so the inline branch's k distinct slots, sorted, make a `_Sorted`
+    list, which `_normalize_lists` passes through unchecked.  Draws by
+    rng.sample stay plain tuples, which it checks once: a subclass of
+    Random may override sample and repeat items.
     """
     if type(rng) is not random.Random:
         return lambda population: tuple(sorted(rng.sample(population, k)))
@@ -134,7 +141,7 @@ def _sorted_sampler(rng, k):
             pool[j], pool[m] = pool[m], pool[j]
         out = pool[n - k:]
         out.sort()
-        return tuple(out)
+        return _Sorted(out)
 
     return draw
 

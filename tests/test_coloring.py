@@ -18,7 +18,7 @@ from dyncolor import (
     is_r_strong,
     solve_list_coloring,
 )
-from dyncolor.coloring import _constraints, _first_fit, _least_k, _mcs_order, _normalize_lists, _search
+from dyncolor.coloring import _Sorted, _constraints, _first_fit, _least_k, _mcs_order, _normalize_lists, _search
 from .helpers import (
     oracle_chi,
     oracle_first_coloring,
@@ -169,7 +169,13 @@ def test_normalize_lists_passes_normal_tuples_through():
         pass
 
     got = _normalize_lists(1, [Colors((1, 2))])[0]
-    assert type(got) is tuple and got == (1, 2)
+    assert type(got) is _Sorted and got == (1, 2)
+    # a plain ascending tuple stays a plain one; what is rebuilt is _Sorted,
+    # and a _Sorted list comes back as the same object
+    assert type(_normalize_lists(1, [t])[0]) is tuple
+    s = _normalize_lists(1, [[5, 1, 5]])[0]
+    assert type(s) is _Sorted and s == (1, 5)
+    assert _normalize_lists(1, [s])[0] is s
     # unhashable colors raise as set() does, also in an ascending tuple
     with pytest.raises(TypeError):
         _normalize_lists(1, [([1], [2])])
@@ -249,6 +255,10 @@ CLOSED_FORM_CASES = [
     # 2.5 times as long, and K_{10,10} at r = 2 over 20 times
     ("complete_bipartite", 3, {"a": 8, "b": 8}),
     ("complete_bipartite", 2, {"a": 10, "b": 10}),
+    # the twin cut's cases: without it K_{10,10} at r = 3 took about 4 s, and
+    # K_{12,12} gave no answer in 60 s
+    ("complete_bipartite", 3, {"a": 10, "b": 10}),
+    ("complete_bipartite", 3, {"a": 12, "b": 12}),
     # in degree order each relabelling of these ran past 20 s
     ("cycle", 2, {"n": 60}),
     ("cycle", 2, {"n": 100}),
@@ -421,6 +431,62 @@ def oracle_first_use_coloring(g, k, r, order=None):
         if oracle_valid(g, coloring, r):
             return coloring
     return None
+
+
+def _blown_up(g, sizes):
+    """g with vertex v replaced by sizes[v] copies of it, pairwise twins: N(copy) = copies of N(v)."""
+    copies, n = [], 0
+    for size in sizes:
+        copies.append(range(n, n + size))
+        n += size
+    return build_graph(n, [(a, b) for u, v in g.edges for a in copies[u] for b in copies[v]]), copies
+
+
+def test_twin_cut_keeps_the_first_coloring():
+    # vertices in the same edges (on a graph: with the same neighborhood)
+    # and, in list mode, with the same list take their colors in ascending
+    # order along the search order; a cut that also bound vertices whose
+    # edges or lists differ would return a later coloring, or None
+    rng = random.Random(30)
+    bipartite = [generate("complete_bipartite", a=a, b=b) for a, b in ((1, 3), (2, 3), (2, 4), (3, 3), (3, 4))]
+    blown = [
+        _blown_up(generate("gnp", seed=seed, n=4 + seed % 2, p=0.5 + 0.1 * (seed % 3)),
+                  [rng.choice((1, 2, 2, 3)) for _ in range(4 + seed % 2)])
+        for seed in range(30)
+    ]
+    blown = [(g, copies) for g, copies in blown if g.n <= 9]
+    for g in bipartite:
+        for r in (1, 2, 3):
+            for k in range(2, 7):
+                assert _search(g.n, *_constraints(g, "dynamic", r), k=k) == oracle_first_use_coloring(g, k, r)
+    for g, copies in blown:
+        for mode, r in (("proper", 0), ("dynamic", 2), ("dynamic", 3)):
+            for k in (3, 4):
+                got = _search(g.n, *_constraints(g, mode, r), k=k)
+                assert got == oracle_first_use_coloring(g, k, r)
+        # copies of a vertex share its list, but for one copy in four
+        lists = [None] * g.n
+        for cs in copies:
+            shared = random_lists(1, 2, range(1, 5), rng)[0]
+            for v in cs:
+                lists[v] = shared if rng.random() < 0.75 else random_lists(1, 2, range(1, 5), rng)[0]
+        for mode, r in (("proper", 0), ("dynamic", 2), ("dynamic", 3)):
+            assert solve_list_coloring(g, lists, mode, r) == oracle_first_coloring(g, lists, mode, r)
+    # strong mode: each hyperedge gets the same added vertices, which are twins
+    for seed in range(40):
+        n = 6
+        edges = [rng.sample(range(4), rng.choice((1, 2, 3))) + [4, 5] for _ in range(4)]
+        if seed % 2:
+            edges.append([rng.randrange(4), 4])  # 4 and 5 no longer share every edge
+        h = build_hypergraph(n, edges)
+        for r in (2, 3):
+            for k in (2, 3, 4):
+                got = _search(h.n, *_constraints(h, "strong", r), k=k)
+                assert got == oracle_first_coloring(h, full_lists(n, k), "strong", r)
+            lists = random_lists(n, 2, range(1, 4), rng)
+            if seed % 3:
+                lists[5] = lists[4]
+            assert solve_list_coloring(h, lists, "strong", r) == oracle_first_coloring(h, lists, "strong", r)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 
 from dyncolor import experiment_random_graphs, random_list_assignment, sample_sublists
 from dyncolor import experiments
+from dyncolor.coloring import _Sorted
 
 
 def test_random_list_assignment():
@@ -26,6 +27,29 @@ def test_random_list_assignment_frozen():
     assert random_list_assignment(5, 3, 9, random.Random(0)) == [
         (1, 7, 9), (4, 5, 8), (3, 5, 8), (3, 4, 8), (2, 3, 5)
     ]
+
+
+class _Subclass(random.Random):
+    pass
+
+
+@pytest.mark.parametrize(
+    "n, size, universe, rng_type, sorted_type",
+    [(40, 3, 9, random.Random, _Sorted), (40, 43, 86, random.Random, _Sorted),
+     (30, 64, 128, random.Random, _Sorted), (20, 10, 1000, random.Random, tuple),
+     (20, 5, 9, _Subclass, tuple)],
+)
+def test_random_list_assignment_draws_as_random_sample(n, size, universe, rng_type, sorted_type):
+    # the lists and the rng state are those of one rng.sample call on the
+    # range per vertex: in Random.sample's pool branch, which the sampler
+    # inlines and whose draws are _Sorted, in its set branch (10 of 1000),
+    # and for a subclass of Random, which the sampler leaves to rng.sample
+    for seed in range(3):
+        ours, theirs = rng_type(seed), rng_type(seed)
+        lists = random_list_assignment(n, size, universe, ours)
+        assert lists == [tuple(sorted(theirs.sample(range(1, universe + 1), size))) for _ in range(n)]
+        assert ours.getstate() == theirs.getstate()
+        assert {type(t) for t in lists} == {sorted_type}
 
 
 def test_greedy_mode():

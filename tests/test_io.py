@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from dyncolor import (
     serialize_hypergraph,
     serialize_lists,
 )
+from dyncolor.coloring import _Sorted, _normalize_lists
 
 GRAPH_TEXT = """c a square
 p edge 4 4
@@ -89,6 +91,23 @@ def test_parse_lists():
     # "01" names vertex 1 again; the later list must not replace the first
     with pytest.raises(ValueError, match="vertex key '01' repeats vertex 1"):
         parse_lists('{"1": [1], "01": [2], "0": [3]}', n=2)
+
+
+def test_parse_lists_returns_sorted_lists():
+    # _Sorted lists pass later normalizations unchecked, as the same object
+    lists = parse_lists('{"0": [3, 1, 3], "1": [2]}', n=2)
+    assert lists == [(1, 3), (2,)] and {type(t) for t in lists} == {_Sorted}
+    assert _normalize_lists(2, lists)[0] is lists[0]
+
+
+@pytest.mark.parametrize(
+    "colors, bad",
+    [("[1, true]", "True"), ("[2, -1, -3]", "-1"), ("[1, 2.0]", "2.0"), ('[1, "a"]', "'a'"),
+     ("[false, 1]", "False"), ("[1, null]", "None"), ("[1, [2]]", "[2]"), ("[-0.5, 3]", "-0.5")],
+)
+def test_parse_lists_names_the_first_bad_color(colors, bad):
+    with pytest.raises(ValueError, match=re.escape(f"list for vertex 1 has a bad color {bad}")):
+        parse_lists(f'{{"0": [1], "1": {colors}}}', n=2)
 
 
 def test_lists_round_trip():

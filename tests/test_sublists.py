@@ -27,6 +27,7 @@ from dyncolor import (
     sublist_condition_lhs,
 )
 from dyncolor import coloring as coloring_mod, sublists as sublists_mod
+from dyncolor.coloring import _Sorted, _normalize_lists
 from dyncolor.sublists import _list_sizes, _sorted_sampler
 
 from .helpers import bipartite_regular, oracle_resample_until_clear, random_lists
@@ -266,6 +267,23 @@ def test_empty_graph_resamples_under_the_default_cap():
     for max_iters in (None, 3):
         state, log = resample_until_clear(empty, sample_sublists([], 1, 0, r=2), max_iters)
         assert (log.status, log.iterations, state.sublists) == ("clear", 0, [])
+
+
+def test_drawn_sublists_are_sorted_lists():
+    # the inline pool branch draws distinct items of a normalized list and
+    # sorts them, so its draws are _Sorted and later normalizations pass
+    # them as the same object; rng.sample's branches keep plain tuples
+    g = generate("complete", n=5)
+    state = sample_sublists([list(range(6, 0, -1))] * 5, 5, seed=3, r=2)
+    first = list(state.sublists)
+    assert {type(t) for t in state.base + first} == {_Sorted}
+    assert _normalize_lists(5, first)[0] is first[0]
+    state, log = resample_until_clear(g, state, max_iters=3)
+    redrawn = [t for t, old in zip(state.sublists, first) if t is not old]
+    assert log.iterations == 3 and len(redrawn) == 4 and {type(t) for t in redrawn} == {_Sorted}
+    assert type(_sorted_sampler(random.Random(0), 3)(range(1, 10))) is _Sorted
+    assert type(_sorted_sampler(random.Random(0), 3)(range(300))) is tuple  # set branch
+    assert type(_sorted_sampler(_CoarseRandom(0), 3)(range(1, 10))) is tuple
 
 
 # --- resampling -------------------------------------------------------------
