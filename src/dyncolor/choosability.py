@@ -50,7 +50,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import _check_cap, _constraints, _least_k, _mcs_order
-from .graphs import Graph, Hypergraph, _core_numbers, build_graph, is_bipartite
+from .graphs import Graph, Hypergraph, _components, _core_numbers, build_graph, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
 
@@ -80,16 +80,12 @@ def _choosable(x, k, mode, r):
 
 
 def _core_components(g, k):
-    """The connected components of g's k-core, each relabelled 0..n'-1."""
+    """The connected components of g's k-core, each relabelled 0..n'-1 by ascending id."""
     core = {v for v, c in enumerate(_core_numbers(g)) if c >= k}
-    while core:
-        comp, todo = set(), [core.pop()]
-        while todo:
-            comp.add(v := todo.pop())
-            todo += g.adj[v] & core
-            core -= g.adj[v]
-        name = {v: i for i, v in enumerate(sorted(comp))}
-        yield build_graph(len(comp), [(name[u], name[w]) for u in comp for w in g.adj[u] & comp])
+    near = [a & core for a in g.adj]
+    for comp in _components(near, sorted(core)):
+        name = {v: i for i, v in enumerate(comp)}
+        yield build_graph(len(comp), [(name[u], name[w]) for u in comp for w in near[u]])
 
 
 def _core_choosable(c, k):

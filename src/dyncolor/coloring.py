@@ -20,17 +20,23 @@ the same neighborhood) and, in list mode, with the same list, take colors
 in ascending order along the search order.  Swapping two twins' colors
 keeps a coloring valid, so the lexicographically least valid coloring
 already does that; K_{12,12}'s chi_3 refutes k = 5 in milliseconds where it
-ran past a minute.  So the first leaf in this order, and every coloring
-returned, is the one a search without the cuts would return.
+ran past a minute.  A fifth rule, the block rule, lays the order out in
+connected components and answers None when the search backtracks past a
+component's first vertex: that component has no valid coloring whatever
+the others hold, and the least valid coloring restricts on each component
+to that component's least, so no leaf moves (see `_search`).  So the first
+leaf in this order, and every coloring returned, is the one a search
+without the cuts would return.
 The exact chromatic numbers are the least k at which the first-use search
-succeeds, and every first-use decision goes through `_least_k`: `chi_exact`,
-`construction_report`, which lifts its strong coloring, and choosability's
-k-coloring rung at a single k.  Whether 1..k admit a valid coloring is the
-same in every vertex order, so `_least_k` searches a graph in
-maximum-cardinality-search order (`_mcs_order`: next the vertex with the
-most ordered neighbors), where a relabelling moves only ties and a clash
-shows while the branch is short, and a hypergraph in the degree order above;
-ordering by co-membership did not help there.  The list searches keep the
+succeeds, and every first-use decision goes through `_least_k`, one
+`_search` call over its ks that derives the order, blocks and twin table
+once: `chi_exact`, `construction_report`, which lifts its strong coloring,
+and choosability's k-coloring rung at a single k.  Whether 1..k admit a
+valid coloring is the same in every vertex order, so `_least_k` searches a
+graph in maximum-cardinality-search order (`_mcs_order`: next the vertex
+with the most ordered neighbors), where a relabelling moves only ties and a
+clash shows while the branch is short, and a hypergraph in the degree order
+above; ordering by co-membership did not help there.  The list searches keep the
 degree order, because tests pin their first leaf.  A proper list coloring
 first tries a first-fit descent (`_first_fit`) in that order: a descent that
 never dead-ends is a valid coloring, so no cut touches its path and its
@@ -60,7 +66,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 
-from .graphs import Graph, Hypergraph
+from .graphs import Graph, Hypergraph, _components
 
 
 def _check_len(n, seq, what):
@@ -239,20 +245,23 @@ def _first_fit(adj, lists):
 
 def _proper_list_coloring(g, lists):
     """_search's first proper coloring of g from normalized lists, _first_fit's if it has one."""
-    return _first_fit(g.adj, lists) or _search(g.n, *_constraints(g, "proper", 0), lists=lists)
+    return _first_fit(g.adj, lists) or _search(g.n, *_constraints(g, "proper", 0), lists=lists)[1]
 
 
-def _search(n, edges, need, graph, lists=None, k=None, order=None):
-    """The first valid coloring in search order, or None.
+def _search(n, edges, need, graph, lists=None, ks=None, order=None):
+    """(k, the first valid coloring in search order), or (None, None).
 
     Valid: every edge j holds need[j] distinct colors, and on a graph
     (graph is True, edge v being N(v)) no vertex v shares a color with N(v).
     Vertices go in the given order, by default _order's (degree).  Exactly
-    one of lists (colors of v ascending from lists[v]) and k (colors 1..k in
-    first-use order: those used so far, then one fresh) drives it;
+    one of lists (colors of v ascending from lists[v]; k is None) and ks
+    (for each k in turn, colors 1..k in first-use order: those used so far,
+    then one fresh; k is the first that admits a coloring) drives it;
     first-use order finds a coloring whenever 1..k admits one, since
     validity does not depend on the names of the colors.  Nor does it depend
-    on the vertex order, which moves only which coloring comes first.
+    on the vertex order, which moves only which coloring comes first.  The
+    edge index, the order, its blocks and the twin table are built once for
+    all of ks.
 
     A branch ends, after v takes c, when an edge holds more repeats than
     len(e) - need allows (spare), or when forward checking finds an
@@ -283,15 +292,31 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
     the first leaf in both modes, already meets this rule; the rule keeps
     that leaf and cuts only branches without it.  Each v is tied to the
     last such u before it, from a table built in one pass over the order.
+
+    Blocks: the order is laid out as the connected components of the
+    constraints (of G on a graph; of the 2-section on a hypergraph), each
+    keeping its vertices' relative order, in the order of their first
+    vertices.  Every cut and the first-use renaming act within one
+    component, and twins share an edge or lie in none (and then always find
+    a color), so when the search backtracks past a block's first vertex,
+    that component has no valid coloring from its lists, or from 1..k,
+    whatever the earlier blocks hold, and the answer at this k is None.
+    The components are independent, so the lexicographically least valid
+    coloring along any order restricts on each one to its least along the
+    induced order: the blocks keep the first leaf, and a later component
+    that cannot be colored no longer backtracks through every coloring of
+    the ones before it.
     """
-    if n == 0:
-        return []
     member = [[] for _ in range(n)]
     for j, e in enumerate(edges):
         for v in e:
             member[v].append(j)
-    if order is None:
-        order = _order(member)
+    # the order laid out in component blocks; on a hypergraph edge j is node
+    # n + j, joined to its members
+    near = edges if graph else [*([n + j for j in m] for m in member), *edges]
+    blocks = _components(near, _order(member) if order is None else order)
+    order = [v for b in blocks for v in b]
+    heads = {b[0] for b in blocks}
     twin = [None] * n  # the last vertex before v with v's edges (and list), or None
     last = {}
     for v in order:
@@ -302,117 +327,124 @@ def _search(n, edges, need, graph, lists=None, k=None, order=None):
         twin[v] = last.get(key)
         last[key] = v
     spare = [len(e) - t for e, t in zip(edges, need)]  # repeats each edge can afford
-    repeats = [0] * len(edges)
-    mult = [{} for _ in edges]  # color -> count on the colored members of each edge
-    taken = mult if graph else [()] * n  # the colors on N(v), which v may not take
-    if lists is None:  # the colors each vertex may take, and how many
-        cands, size = [range(1, k + 1)] * n, [k] * n
-    else:
-        cands, size = lists, [len(c) for c in lists]
-    color = [None] * n
     top = [0] * (n + 1)  # first-use order: the largest color on order[:depth]
-    # An explicit stack of color iterators, one per depth, so that the search
-    # depth is not bounded by the interpreter's recursion limit.  A vertex
-    # still colored at the loop head was extended (or pruned) with that
-    # color; it is taken off before the next one is tried.
-    stack = [iter(lists[order[0]] if k is None else (1,))]
-    while stack:
-        depth = len(stack) - 1
-        v = order[depth]
-        c = color[v]
-        if c is not None:
-            color[v] = None
+    for k in ks if lists is None else (None,):
+        if n == 0:
+            return k, []
+        if k is None:  # the colors each vertex may take, and how many
+            cands, size = lists, [len(c) for c in lists]
+        else:
+            cands, size = [range(1, k + 1)] * n, [k] * n
+        repeats = [0] * len(edges)
+        mult = [{} for _ in edges]  # color -> count on the colored members of each edge
+        taken = mult if graph else [()] * n  # the colors on N(v), which v may not take
+        color = [None] * n
+        # An explicit stack of color iterators, one per depth, so that the
+        # search depth is not bounded by the interpreter's recursion limit.  A
+        # vertex still colored at the loop head was extended (or pruned) with
+        # that color; it is taken off before the next one is tried.
+        stack = [iter(lists[order[0]] if k is None else (1,))]
+        while stack:
+            depth = len(stack) - 1
+            v = order[depth]
+            c = color[v]
+            if c is not None:
+                color[v] = None
+                for j in member[v]:
+                    mj = mult[j]
+                    if mj[c] == 1:
+                        del mj[c]
+                    else:
+                        mj[c] -= 1
+                        repeats[j] -= 1
+            held = taken[v]
+            for c in stack[-1]:
+                if c not in held:
+                    break
+            else:
+                if v in heads:  # block rule: v's component has no valid coloring
+                    break
+                stack.pop()
+                continue
+            color[v] = c
+            # A fresh color keeps an edge's distinct colors plus uncolored
+            # members unchanged, so only an edge that now holds c twice can fall
+            # below its need.  In first-use order the colors in use are 1..used,
+            # so forward checking finds no vertex without candidates until all
+            # of 1..k are in use.
+            pruned = False
+            if k is None:
+                look = True
+            else:
+                used = top[depth + 1] = max(top[depth], c)
+                look = used == k
+            full = []
             for j in member[v]:
                 mj = mult[j]
-                if mj[c] == 1:
-                    del mj[c]
-                else:
-                    mj[c] -= 1
-                    repeats[j] -= 1
-        held = taken[v]
-        for c in stack[-1]:
-            if c not in held:
-                break
-        else:
-            stack.pop()
-            continue
-        color[v] = c
-        # A fresh color keeps an edge's distinct colors plus uncolored
-        # members unchanged, so only an edge that now holds c twice can fall
-        # below its need.  In first-use order the colors in use are 1..used,
-        # so forward checking finds no vertex without candidates until all
-        # of 1..k are in use.
-        pruned = False
-        if k is None:
-            look = True
-        else:
-            used = top[depth + 1] = max(top[depth], c)
-            look = used == k
-        full = []
-        for j in member[v]:
-            mj = mult[j]
-            if c in mj:
-                mj[c] += 1
-                repeats[j] += 1
-                if repeats[j] > spare[j]:
-                    pruned = True
-                elif look and not pruned and len(mj) < need[j] and repeats[j] < spare[j]:
-                    # distinct-color bound.  The N(u) this loop has yet to
-                    # reach lack only c, which j holds, so they exclude here
-                    # what they will exclude once updated
-                    want = need[j] - len(mj)
-                    fresh = set()
-                    for u in edges[j]:
-                        if color[u] is None:
-                            held = taken[u]
-                            for d in cands[u]:
-                                if d not in mj and d not in held:
-                                    fresh.add(d)
-                            if len(fresh) >= want:
-                                break
-                    else:
+                if c in mj:
+                    mj[c] += 1
+                    repeats[j] += 1
+                    if repeats[j] > spare[j]:
                         pruned = True
-            else:
-                mj[c] = 1
-                if (  # avoid rule: c is new on N(j)
-                    look
-                    and graph
-                    and color[j] is None
-                    and len(mj) >= size[j]
-                    and (lists is None or all(map(mj.__contains__, lists[j])))
-                ):
-                    pruned = True
-            if look and repeats[j] == spare[j]:
-                full.append(j)
-        if pruned:
-            continue
-        if full:  # need rule, one check per vertex however many edges share it
-            for u in {u for j in full for u in edges[j] if color[u] is None}:
-                seen = set(taken[u])
-                for i in member[u]:
-                    if repeats[i] == spare[i]:
-                        seen.update(mult[i])
-                if len(seen) >= size[u] and (lists is None or all(map(seen.__contains__, lists[u]))):
-                    pruned = True
-                    break
+                    elif look and not pruned and len(mj) < need[j] and repeats[j] < spare[j]:
+                        # distinct-color bound.  The N(u) this loop has yet to
+                        # reach lack only c, which j holds, so they exclude here
+                        # what they will exclude once updated
+                        want = need[j] - len(mj)
+                        fresh = set()
+                        for u in edges[j]:
+                            if color[u] is None:
+                                held = taken[u]
+                                for d in cands[u]:
+                                    if d not in mj and d not in held:
+                                        fresh.add(d)
+                                if len(fresh) >= want:
+                                    break
+                        else:
+                            pruned = True
+                else:
+                    mj[c] = 1
+                    if (  # avoid rule: c is new on N(j)
+                        look
+                        and graph
+                        and color[j] is None
+                        and len(mj) >= size[j]
+                        and (lists is None or all(map(mj.__contains__, lists[j])))
+                    ):
+                        pruned = True
+                if look and repeats[j] == spare[j]:
+                    full.append(j)
             if pruned:
                 continue
-        if depth + 1 == n:
-            return list(color)
-        w = order[depth + 1]
-        u = twin[w]
-        if k is None:
-            stack.append(iter(lists[w] if u is None else lists[w][lists[u].index(color[u]):]))
-        else:
-            stack.append(iter(range(1 if u is None else color[u], min(used + 1, k) + 1)))
-    return None
+            if full:  # need rule, one check per vertex however many edges share it
+                for u in {u for j in full for u in edges[j] if color[u] is None}:
+                    seen = set(taken[u])
+                    for i in member[u]:
+                        if repeats[i] == spare[i]:
+                            seen.update(mult[i])
+                    if len(seen) >= size[u] and (lists is None or all(map(seen.__contains__, lists[u]))):
+                        pruned = True
+                        break
+                if pruned:
+                    continue
+            if depth + 1 == n:
+                return k, list(color)
+            w = order[depth + 1]
+            u = twin[w]
+            if k is None:
+                stack.append(iter(lists[w] if u is None else lists[w][lists[u].index(color[u]):]))
+            else:
+                stack.append(iter(range(1 if u is None else color[u], min(used + 1, k) + 1)))
+    return None, None
 
 
 def _least_k(x, mode, r, max_n, ks=None):
     """The least k in ks at which colors 1..k admit a valid coloring, and the first one.
 
     The one first-use decision (see the module docstring for its callers and
-    its order).  The order is computed once per call, not per k.  The
+    its order), made by one _search call over all of ks, so the order, its
+    component blocks and the twin table are derived once, not per k.  A
+    component that 1..k cannot color ends that k at its first vertex.  The
     coloring is the first leaf in that order: the lexicographically least
     valid one along it, which is already in first-use form.  ks defaults to
     the trivial lower bound up to n: the largest need, which alone takes that
@@ -426,14 +458,12 @@ def _least_k(x, mode, r, max_n, ks=None):
     _check_cap(x.n, max_n)
     if x.n == 0:
         return 0, []
+    lower = max([1, *need]) + (graph and x.m > 0)
     order = _mcs_order(x.adj) if graph else None
-    for k in ks or range(max([1, *need]) + (graph and x.m > 0), x.n + 1):
-        coloring = _search(x.n, edges, need, graph, k=k, order=order)
-        if coloring is not None:
-            return k, coloring
-    if ks is None:
+    k, coloring = _search(x.n, edges, need, graph, ks=ks or range(lower, x.n + 1), order=order)
+    if k is None and ks is None:
         raise AssertionError("unreachable: n colors always suffice")
-    return None, None
+    return k, coloring
 
 
 def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
@@ -453,13 +483,17 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     one.  Twins, vertices in the same edges with the same list, take colors
     in list order along the search order, as the first valid coloring does.
     The cuts keep every branch that holds that coloring, so it is the
-    result.
+    result.  Each connected component is searched as one block of the order,
+    and a component whose lists admit no coloring answers None as soon as
+    the search backtracks past its first vertex; the first valid coloring
+    restricts on each component to that component's first, so the blocks
+    keep it.
     """
     constraints = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)
     if mode == "proper":
         return _proper_list_coloring(x, lists)
-    return _search(x.n, *constraints, lists=lists)
+    return _search(x.n, *constraints, lists=lists)[1]
 
 
 def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
@@ -471,6 +505,8 @@ def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
     the work; on K_{a,b} the vertices of a side are twins, which the search
     colors in ascending order only, and its distinct-color bound ends a
     branch as soon as a neighborhood takes a repeat that the colors left to
-    its uncolored members cannot make up.
+    its uncolored members cannot make up.  On a disconnected x a k that some
+    component cannot take fails at that component's first vertex, without
+    backtracking through the other components' colorings.
     """
     return _least_k(x, mode, r, max_n)[0]

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncolor import coloring as coloring_mod
 from dyncolor import (
     build_graph,
     build_hypergraph,
@@ -405,11 +406,11 @@ def test_distinct_color_bound_keeps_the_first_coloring():
         g = generate("complete_bipartite", a=a, b=b)
         for r in (2, 3):
             for k in range(3, min(r, a) + min(r, b) + 1):
-                assert _search(g.n, *_constraints(g, "dynamic", r), k=k) == oracle_first_use_coloring(g, k, r)
+                assert _search(g.n, *_constraints(g, "dynamic", r), ks=(k,))[1] == oracle_first_use_coloring(g, k, r)
     for seed in range(40):
         g = generate("gnp", seed=seed, n=9, p=0.5 + 0.1 * (seed % 3))
         for k in (4, 5):
-            assert _search(g.n, *_constraints(g, "dynamic", 3), k=k) == oracle_first_use_coloring(g, k, 3)
+            assert _search(g.n, *_constraints(g, "dynamic", 3), ks=(k,))[1] == oracle_first_use_coloring(g, k, 3)
 
 
 def oracle_first_use_coloring(g, k, r, order=None):
@@ -458,11 +459,11 @@ def test_twin_cut_keeps_the_first_coloring():
     for g in bipartite:
         for r in (1, 2, 3):
             for k in range(2, 7):
-                assert _search(g.n, *_constraints(g, "dynamic", r), k=k) == oracle_first_use_coloring(g, k, r)
+                assert _search(g.n, *_constraints(g, "dynamic", r), ks=(k,))[1] == oracle_first_use_coloring(g, k, r)
     for g, copies in blown:
         for mode, r in (("proper", 0), ("dynamic", 2), ("dynamic", 3)):
             for k in (3, 4):
-                got = _search(g.n, *_constraints(g, mode, r), k=k)
+                got = _search(g.n, *_constraints(g, mode, r), ks=(k,))[1]
                 assert got == oracle_first_use_coloring(g, k, r)
         # copies of a vertex share its list, but for one copy in four
         lists = [None] * g.n
@@ -481,12 +482,112 @@ def test_twin_cut_keeps_the_first_coloring():
         h = build_hypergraph(n, edges)
         for r in (2, 3):
             for k in (2, 3, 4):
-                got = _search(h.n, *_constraints(h, "strong", r), k=k)
+                got = _search(h.n, *_constraints(h, "strong", r), ks=(k,))[1]
                 assert got == oracle_first_coloring(h, full_lists(n, k), "strong", r)
             lists = random_lists(n, 2, range(1, 4), rng)
             if seed % 3:
                 lists[5] = lists[4]
             assert solve_list_coloring(h, lists, "strong", r) == oracle_first_coloring(h, lists, "strong", r)
+
+
+def _union(parts, rng=None):
+    """The disjoint union of the graphs parts, its ids shuffled by rng when given."""
+    edges, n = [], 0
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    ids = list(range(n))
+    if rng is not None:
+        rng.shuffle(ids)
+    return build_graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+def test_blocks_keep_the_first_coloring_on_disconnected_instances():
+    # the search lays its order out in connected-component blocks and answers
+    # None when it backtracks past a block's first vertex; the first valid
+    # coloring restricts on each component to that component's first, so the
+    # results stay the brute-force oracles' along the unsplit order
+    # in degree order these components interleave: a search that kept that
+    # order and answered None past a component's first vertex would give up
+    # on a prefix of the other component, and return None
+    p3_k3 = build_graph(6, [(0, 3), (1, 3), (2, 4), (2, 5), (4, 5)])
+    lists = [[2, 3], [2], [2, 3], [1, 2], [1], [1, 2]]
+    assert solve_list_coloring(p3_k3, lists) == oracle_first_coloring(p3_k3, lists) == [2, 2, 3, 1, 1, 2]
+    p2_p3 = build_graph(5, [(0, 2), (1, 3), (1, 4)])
+    lists = [[1, 3], [2, 3], [3], [1], [1, 2]]
+    got = solve_list_coloring(p2_p3, lists, "dynamic", 3)
+    assert got == oracle_first_coloring(p2_p3, lists, "dynamic", 3) == [1, 3, 3, 1, 2]
+    rng = random.Random(31)
+    for seed in range(40):
+        parts = [generate("gnp", seed=100 * seed + i, n=rng.randint(1, 3), p=rng.choice((0.3, 0.5, 0.8)))
+                 for i in range(rng.randint(2, 3))]
+        g = _union(parts, rng)
+        order = _mcs_order(g.adj)
+        for mode, r in (("proper", 0), ("dynamic", 1), ("dynamic", 2), ("dynamic", 3)):
+            k, coloring = _least_k(g, mode, r, g.n)
+            assert coloring == oracle_first_use_coloring(g, k, r, order)
+            assert k == 1 or oracle_first_use_coloring(g, k - 1, r, order) is None
+            lists = random_lists(g.n, rng.choice((2, 3)), range(1, 5), rng)
+            assert solve_list_coloring(g, lists, mode, r) == oracle_first_coloring(g, lists, mode, r)
+    # strong mode: the hyperedges of each part lie in its own range of ids
+    for seed in range(40):
+        n, edges = 0, []
+        for _ in range(rng.randint(2, 3)):
+            size = rng.randint(1, 3)
+            for _ in range(rng.randint(0, 2)):
+                edges.append([n + v for v in rng.sample(range(size), rng.randint(1, size))])
+            n += size
+        h = build_hypergraph(n, edges)
+        for r in (1, 2, 3):
+            k, coloring = _least_k(h, "strong", r, h.n)
+            assert coloring == oracle_first_coloring(h, full_lists(n, k), "strong", r)
+            assert k == 1 or oracle_first_coloring(h, full_lists(n, k - 1), "strong", r) is None
+            lists = random_lists(n, rng.choice((1, 2)), range(1, 4), rng)
+            assert solve_list_coloring(h, lists, "strong", r) == oracle_first_coloring(h, lists, "strong", r)
+
+
+def test_a_component_that_cannot_be_colored_ends_the_search():
+    # the gnp part comes first in both orders and colors at once; the later
+    # component needs more colors.  Backtracking through the gnp part's
+    # colorings, each of these calls ran past 10 s
+    c5 = generate("cycle", n=5)
+    for n in (20, 30, 40):
+        g = _union([generate("gnp", seed=1, n=n, p=4 / n), c5])
+        assert chi_exact(g, "dynamic", 2, max_n=g.n) == 5
+    g = _union([generate("gnp", seed=1, n=20, p=4 / 20), c5])
+    assert solve_list_coloring(g, full_lists(g.n, 4), "dynamic", 2) is None
+    g = _union([generate("gnp", seed=1, n=60, p=4 / 60), generate("complete", n=4)])
+    assert chi_exact(g, max_n=g.n) == 4
+
+
+def test_block_rule_does_not_recolor_earlier_blocks(monkeypatch):
+    # a path, which 1..k color, is the first block; a later block cannot be
+    # colored from 1..k.  Every color a search iterator hands out is logged
+    # with its depth: once the later block is reached, no vertex of the path
+    # tries another color
+    tried = []
+
+    def logged(colors):
+        # the iterator of depth d + 1 is made right after depth d's color is accepted
+        depth = tried[-1][0] + 1 if tried else 0
+        return ((tried.append((depth, c)), c)[1] for c in colors)
+
+    monkeypatch.setattr(coloring_mod, "iter", logged, raising=False)
+    path = [(0, 1), (1, 2), (2, 3)]
+    k4 = list(itertools.combinations(range(4, 8), 2))
+    c5 = [(4, 5), (5, 6), (6, 7), (7, 8), (4, 8)]
+    for n, edges, mode, r, k in ((8, path + k4, "proper", 0, 3), (9, path + c5, "dynamic", 2, 4)):
+        tried.clear()
+        g = build_graph(n, edges)
+        assert _search(n, *_constraints(g, mode, r), ks=(k,), order=list(range(n))) == (None, None)
+        reached = next(i for i, (depth, _) in enumerate(tried) if depth == 4)
+        assert all(depth >= 4 for depth, _ in tried[reached:])
+        # the path's colors are its first descent alone
+        colors = [None] * 4
+        for depth, c in tried[:reached]:
+            colors[depth] = c
+        p4 = build_graph(4, path)
+        assert colors == _search(4, *_constraints(p4, mode, r), ks=(k,), order=[0, 1, 2, 3])[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -498,7 +599,7 @@ def test_first_fit_is_the_first_leaf_of_the_search(case):
     lists = _normalize_lists(g.n, lists)
     coloring = _first_fit(g.adj, lists)
     if coloring is not None:
-        assert coloring == _search(g.n, *_constraints(g, "proper", 0), lists=lists)
+        assert coloring == _search(g.n, *_constraints(g, "proper", 0), lists=lists)[1]
 
 
 def test_solve_list_searches_after_a_first_fit_dead_end():
