@@ -25,14 +25,17 @@ sublist" directly by the transversal module's depth-bounded hitting-set
 search, on one int bitset per sublist: each color gets a bit of its own the
 first time a sublist holds it, so colors may be any orderable values, and
 only the masks of redrawn sublists are rebuilt.  At r = 2 that search is a
-single running AND of the neighbor masks, written out in the loop.  From
-r = 3 on, where nearly every check answers "not bad", the search first
-packs: one greedy pass from a smallest neighbor sublist keeps the sublists
-disjoint from those kept so far, and r pairwise-disjoint ones need r
-distinct colors, so the check ends without branching.  The pass starts
-from the smallest sublist because that is the one the search branches on
-when the packing falls short.  The candidate family of the transversal
-module is not built on this path.
+single running AND of the neighbor masks, written out in the loop.  At
+r = 3, where nearly every check answers "not bad", the two colors are
+forced sides: one lies in the first neighbor sublist, the other in every
+neighbor sublist that misses it, so one AND over those sublists, and one
+more for the first color, ends most checks without branching.  From r = 4
+on the search first packs: one greedy pass from the first neighbor sublist
+keeps the sublists disjoint from those kept so far, and r pairwise-disjoint
+ones need r distinct colors.  Every drawn sublist has sublist_size colors,
+so the first neighbor sublist is a smallest one, the one the search
+branches on, and the masks need no sort.  The candidate family of the
+transversal module is not built on this path.
 
 Every draw is that of Random.sample, sorted.  Each call that draws
 (`sample_sublists`, `resample_until_clear` and the experiments'
@@ -256,7 +259,14 @@ def _check_state(g, state):
 
 
 def bad_event_holds(g: Graph, state: SublistState, v) -> bool:
-    """True when fewer than r colors can meet every neighbor sublist of v."""
+    """True when fewer than r colors can meet every neighbor sublist of v.
+
+    The transversal module's search decides it on the neighbor sublists'
+    masks, seeded by the first.  Drawn sublists all have sublist_size
+    colors, so that seed is a smallest sublist; on a state built by hand
+    with sublists of mixed sizes the answer is the same, only the
+    branching may be wider.
+    """
     _check_state(g, state)
     _check_vertex(g, v)
     if g.degree(v) < state.r:

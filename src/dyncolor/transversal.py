@@ -2,17 +2,19 @@
 
 A transversal is a vertex set meeting every edge.  has_small_transversal
 decides whether one of size at most r exists, on any hypergraph, with
-_hit_by_at_most: a depth-bounded search that branches on a smallest edge and
-stops at the first transversal (the d-Hitting-Set search tree, as in
-Niedermeier and Rossmanith 2003).  From two picks on, each level first packs
-greedily: starting from that smallest edge, it keeps every edge disjoint
-from those kept so far, and k + 1 pairwise-disjoint edges refute a
-k-transversal without any branching, since a packing is never larger than
-a transversal.  The search reads each edge as a Python int used as a
-bitset, built by _mask: each vertex id (or, for the sublist bad-event check,
-each color) gets the next free bit the first time it is seen, so the ints
-stay as wide as the number of distinct ids, whatever their values.  Dropping the edges a pick meets and intersecting the rest are then
-single int operations.
+_hit_by_at_most: a depth-bounded search that branches on the bits of its
+seed, the first edge, and stops at the first transversal (the d-Hitting-Set
+search tree, as in Niedermeier and Rossmanith 2003).  has_small_transversal
+sorts the edges by size once, so the seed is a smallest edge at every level.
+With two picks left both are forced, so two running ANDs refute most pairs
+before any branching; from three picks on, each level first packs greedily
+from the seed, and k + 1 pairwise-disjoint edges refute a k-transversal,
+since a packing is never larger than a transversal.  The search reads each
+edge as a Python int used as a bitset, built by _mask: each vertex id (or,
+for the sublist bad-event check, each color) gets the next free bit the
+first time it is seen, so the ints stay as wide as the number of distinct
+ids, whatever their values.  Dropping the edges a pick meets and
+intersecting the rest are then single int operations.
 
 candidate_family, the paper's constructive object and the tests' reference,
 builds for a target size r at most k^r size-r sets (k = largest edge) such
@@ -105,25 +107,27 @@ def _mask(items, bits) -> int:
 def _hit_by_at_most(masks, k) -> bool:
     """True when at most k bits meet every mask in masks (ints as bitsets).
 
-    The d-Hitting-Set search tree: some bit of a smallest mask must be
-    picked, so branch on each of them and drop the masks it meets.  One pick
-    left means the remaining masks share a bit, so the last level is a
-    running AND that stops as soon as it is 0.
+    The d-Hitting-Set search tree: some bit of the seed, masks[0], must be
+    picked, so branch on each of them and drop the masks it meets.  Callers
+    pass a smallest mask first (has_small_transversal sorts by bit count,
+    and the filtered lists below keep that order), so the branching stays
+    on the narrowest mask; any order gives the same answer.  One pick left
+    means the remaining masks share a bit, so the last level is a running
+    AND that stops as soon as it is 0.
 
-    From two picks on, each level first packs: one greedy pass, seeded with
-    the smallest mask, keeps every mask disjoint from the union of those
-    kept so far.  Pairwise-disjoint masks need a pick each, so k + 1 of them
-    answer False before any branching.  The seed is a smallest mask so that,
-    when the packing falls short, the branching stays on the narrowest mask,
-    also when masks differ in size.  At k = 2 a transversal takes one bit of
-    the smallest mask and one of the second mask kept, which every first
-    pick misses, so the running AND that decides the second pick starts
-    from that mask instead of all bits, and reaches 0 sooner.  That AND is
-    inlined into the branching loop, saving a filtered list and a call per
-    branch; recursing instead made lll_dense operations about a third
-    slower.  Depth is at most k and the search stops at the first
-    transversal found; no candidate family is built.  An empty mask (0) is
-    met by nothing.  Build masks with _mask.
+    Two picks left, a and b with a in the seed s, every side is forced:
+    b lies in every mask missing s, so B is their AND (all bits when none
+    misses s); a lies in s and in every mask missing B, so A is that AND;
+    and a bit a of A works when B meets every mask missing a.  Each AND
+    stops as soon as it is 0, which refutes a pair without branching.
+    Two masks disjoint from s and from each other already make B = 0.
+
+    From three picks on, each level first packs: one greedy pass, seeded
+    with s, keeps every mask disjoint from the union of those kept so far.
+    Pairwise-disjoint masks need a pick each, so k + 1 of them answer False
+    before any branching.  Depth is at most k and the search stops at the
+    first transversal found; no candidate family is built.  An empty mask
+    (0) is met by nothing.  Build masks with _mask.
     """
     if not masks:
         return True
@@ -136,21 +140,25 @@ def _hit_by_at_most(masks, k) -> bool:
             if not common:
                 return False
         return True
-    smallest = min(masks, key=int.bit_count)
-    union, packed = smallest, []
-    for m in masks:
-        if not m & union:
-            packed.append(m)
-            if len(packed) == k:  # with smallest, k + 1 disjoint masks
-                return False
-            union |= m
-    start = packed[0] if packed else -1
-    while smallest:
-        bit = smallest & -smallest
-        smallest ^= bit
-        if k == 2:
+    seed = masks[0]
+    if k == 2:
+        side_b = -1
+        for m in masks:
+            if not m & seed:
+                side_b &= m
+                if not side_b:
+                    return False
+        side_a = seed
+        for m in masks:
+            if not m & side_b:
+                side_a &= m
+                if not side_a:
+                    return False
+        while side_a:
+            bit = side_a & -side_a
+            side_a ^= bit
             # the k == 1 case on the masks missing bit, without building them
-            common = start
+            common = side_b
             for m in masks:
                 if not m & bit:
                     common &= m
@@ -158,13 +166,29 @@ def _hit_by_at_most(masks, k) -> bool:
                         break
             if common:
                 return True
-        elif _hit_by_at_most([m for m in masks if not m & bit], k - 1):
+        return False
+    union, packed = seed, 0
+    for m in masks:
+        if not m & union:
+            packed += 1
+            if packed == k:  # with the seed, k + 1 disjoint masks
+                return False
+            union |= m
+    while seed:
+        bit = seed & -seed
+        seed ^= bit
+        if _hit_by_at_most([m for m in masks if not m & bit], k - 1):
             return True
     return False
 
 
 def has_small_transversal(h: Hypergraph, r) -> bool:
-    """Decide whether a transversal of size at most r exists, on any hypergraph."""
+    """Decide whether a transversal of size at most r exists, on any hypergraph.
+
+    The edges' masks go to _hit_by_at_most sorted by size (a stable sort),
+    so its seed, the first mask, is a smallest edge: seeding with a large
+    edge would branch on many bits where a small one branches on few.
+    """
     _check_r(r, 0)
     bits = {}
-    return _hit_by_at_most([_mask(e, bits) for e in h.edges], r)
+    return _hit_by_at_most(sorted([_mask(e, bits) for e in h.edges], key=int.bit_count), r)

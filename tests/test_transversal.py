@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -192,7 +194,8 @@ def _packs(edges, size):
 
 
 def _sweep_instances():
-    # about 2,000 seeded instances where the kernel's packing pass fires:
+    # about 2,000 seeded instances where the kernel's packing pass fires
+    # (from k = 3 on; at k = 2 the forced sides refute instead):
     # up to 10 edges on ids 0..11 (empty and repeated edges included), and
     # lists shaped like the resampling check's neighbor sublists: 8 sublists
     # of 9 colors from 96 at k = 2 (lll_dense) and 8 of 4 from 24 at k = 3
@@ -223,7 +226,8 @@ def test_hit_by_at_most_seeded_sweep_where_packing_fires():
             assert has_small_transversal(h, k) == want
             if k >= 2:
                 seen.add((_packs(edges, k + 1), want))
-    # at k >= 2: "no" with and without a (k + 1)-packing, and "yes"
+    # at k >= 2: "no" with and without a (k + 1)-packing, and "yes"; from
+    # k = 3 the packing pass refutes the former, at k = 2 an empty side B does
     assert {(True, False), (False, False), (False, True)} <= seen
 
 
@@ -245,3 +249,82 @@ def test_hit_by_at_most_packing_pins(k):
     # an empty edge is met by nothing, at every k
     assert not _hit_by_at_most([_mask(e, {}) for e in [frozenset(), frozenset({0})]], k)
     assert not _hit_by_at_most([0], k)
+
+
+def _k2_exits(masks, want):
+    """The exits of the kernel's k = 2 rule on masks, seeded by masks[0].
+
+    B is the AND of the masks missing the seed and A the seed ANDed with
+    the masks missing B; with both nonempty the branches on A's bits
+    decide, so want, the oracle's answer, says how they end.
+    """
+    seed = masks[0]
+    missing = [m for m in masks if not m & seed]
+    exits = set() if missing else {"no mask misses the seed"}
+    side_b = functools.reduce(operator.and_, missing, -1)
+    if not side_b:
+        return exits | {"B empty"}
+    side_a = functools.reduce(operator.and_, [m for m in masks if not m & side_b], seed)
+    if not side_a:
+        return exits | {"A empty"}
+    return exits | {"a branch finds a pair" if want else "every branch fails"}
+
+
+def _forced_side_instances():
+    # small mixed instances on ids 0..7 (empty and repeated edges included),
+    # lll_dense's neighbor sublists (8 of 9 colors from 96), and 8 edges of
+    # 4 from 24, whose k = 3 level recurses into k = 2 on the edges a pick misses
+    rng = random.Random(3201)
+    for _ in range(1500):
+        edges = []
+        for _ in range(rng.randint(1, 8)):
+            if edges and rng.random() < 0.1:
+                edges.append(rng.choice(edges))
+            else:
+                edges.append(frozenset(rng.sample(range(8), rng.choice([0, 1, 2, 2, 3, 3, 4]))))
+        yield 8, edges, (2, 3)
+    for _ in range(150):
+        yield 96, [frozenset(rng.sample(range(96), 9)) for _ in range(8)], (2,)
+    for _ in range(150):
+        yield 24, [frozenset(rng.sample(range(24), 4)) for _ in range(8)], (2, 3)
+
+
+def test_hit_by_at_most_forced_sides_sweep():
+    seen = set()
+    for n, edges, ks in _forced_side_instances():
+        h = Hypergraph(n=n, edges=tuple(edges))
+        bits = {}
+        masks = [_mask(e, bits) for e in edges]
+        for k in ks:
+            want = oracle_has_small_transversal(h, k)
+            assert _hit_by_at_most(masks, k) == want, (edges, k)
+            assert has_small_transversal(h, k) == want
+            if k == 2:
+                seen |= _k2_exits(masks, want)
+    assert seen == {
+        "B empty",
+        "A empty",
+        "a branch finds a pair",
+        "every branch fails",
+        "no mask misses the seed",
+    }
+
+
+def test_hit_by_at_most_ignores_mask_order():
+    # the seed is masks[0], so each order seeds the search differently;
+    # the largest mask first, the smallest first and shuffles answer alike
+    rng = random.Random(3202)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(1, 7))]
+        edges += edges[:1]
+        h = Hypergraph(n=n, edges=tuple(edges))
+        bits = {}
+        masks = [_mask(e, bits) for e in edges]
+        orders = [sorted(masks, key=int.bit_count), sorted(masks, key=int.bit_count, reverse=True)]
+        for _ in range(3):
+            orders.append(rng.sample(masks, len(masks)))
+        for k in range(5):
+            want = oracle_has_small_transversal(h, k)
+            for order in orders:
+                assert _hit_by_at_most(order, k) == want, (order, k)
