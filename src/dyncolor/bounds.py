@@ -103,7 +103,8 @@ def bounds_report(
     the random-graph entry, neighborhood_sparsity is the f with every
     neighborhood spanning at most maxdeg^2/f edges, degree_ratio_cap the c
     with maxdeg/mindeg <= c.  Entries with missing inputs stay in the report,
-    flagged inapplicable with the missing names listed.  Inputs whose
+    flagged inapplicable with the missing names listed; the degrees and r
+    are required, and None for one raises ValueError naming it.  Inputs whose
     arithmetic overflows a float raise ValueError naming the entry.
     """
     inputs = {
@@ -117,6 +118,9 @@ def bounds_report(
         "neighborhood_sparsity": neighborhood_sparsity,
         "degree_ratio_cap": degree_ratio_cap,
     }
+    for name in ("max_degree", "min_degree", "r"):
+        if inputs[name] is None:
+            raise ValueError(f"{name} is required")
     for name, value in inputs.items():
         if value is not None and value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")

@@ -458,7 +458,7 @@ def _least_k(x, mode, r, max_n, ks=None):
     _check_cap(x.n, max_n)
     if x.n == 0:
         return 0, []
-    lower = max([1, *need]) + (graph and x.m > 0)
+    lower = max([1, *need]) + (graph and any(x.adj))
     order = _mcs_order(x.adj) if graph else None
     k, coloring = _search(x.n, edges, need, graph, ks=ks or range(lower, x.n + 1), order=order)
     if k is None and ks is None:

@@ -1,4 +1,9 @@
-"""Graph and hypergraph types, generators, and structural helpers: core numbers by one O(n + m) peel."""
+"""Graph and hypergraph types, generators, and structural helpers: core numbers by one O(n + m) peel.
+
+A Graph stores its edges once, as adjacency sets; Graph.edges builds the
+sorted pair tuple from them on every read, in O(m log maxdeg), so a caller
+reads it once per use and keeps the result while it needs it.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +17,25 @@ from dataclasses import dataclass
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as sorted pairs, deduplicated; adj is the symmetric
-    adjacency view derived from them.
+    adj[v] is the frozenset of v's neighbors, symmetric and loop-free: the
+    one stored form of the edges.  edges and m are derived from it.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adj: tuple[frozenset[int], ...]
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) pairs with u < v, in sorted order, built on each read.
+
+        Not cached: a kept tuple would hold every edge a second time, the
+        memory that storing adj alone saves.
+        """
+        return tuple([(u, v) for u, nbrs in enumerate(self.adj) for v in sorted(nbrs) if v > u])
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -67,8 +80,7 @@ def build_graph(n, edge_list) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    edges = tuple([(u, v) for u, s in enumerate(nbrs) for v in sorted(s) if v > u])
-    return Graph(n=n, edges=edges, adj=tuple(frozenset(s) for s in nbrs))
+    return Graph(n=n, adj=tuple(frozenset(s) for s in nbrs))
 
 
 def build_hypergraph(n, edge_list) -> Hypergraph:

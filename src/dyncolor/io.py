@@ -64,8 +64,9 @@ def parse_graph(text) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    out = [f"p edge {g.n} {g.m}"]
-    out.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    edges = g.edges
+    out = [f"p edge {g.n} {len(edges)}"]
+    out.extend(f"e {u + 1} {v + 1}" for u, v in edges)
     return "\n".join(out) + "\n"
 
 

@@ -34,26 +34,41 @@ def oracle_normalize_lists(n, lists, floor=1):
     return out
 
 
-def oracle_valid(g, coloring, r=0):
-    # properness, then the dynamic quota, spelled out from the definitions
-    for u, v in g.edges:
-        if coloring[u] == coloring[v]:
-            return False
-    if r:
-        for v in range(g.n):
-            seen = {coloring[u] for u in g.adj[v]}
-            if len(seen) < min(r, len(g.adj[v])):
+def oracle_validator(g, r=0):
+    """oracle_valid's check as a function of the coloring alone.
+
+    g.edges is read once, here: Graph builds the pairs on every read, and the
+    brute-force oracles check thousands of colorings of one graph.
+    """
+    edges = g.edges
+
+    def valid(coloring):
+        # properness, then the dynamic quota, spelled out from the definitions
+        for u, v in edges:
+            if coloring[u] == coloring[v]:
                 return False
-    return True
+        if r:
+            for v in range(g.n):
+                seen = {coloring[u] for u in g.adj[v]}
+                if len(seen) < min(r, len(g.adj[v])):
+                    return False
+        return True
+
+    return valid
+
+
+def oracle_valid(g, coloring, r=0):
+    return oracle_validator(g, r)(coloring)
 
 
 def oracle_chi(g, r=0):
     """Least color count by exhaustive product search (tiny n only)."""
     if g.n == 0:
         return 0
+    valid = oracle_validator(g, r)
     for k in range(1, g.n + 1):
         for combo in itertools.product(range(1, k + 1), repeat=g.n):
-            if oracle_valid(g, combo, r):
+            if valid(combo):
                 return k
     raise AssertionError("n colors always suffice")
 
@@ -119,9 +134,7 @@ def oracle_first_coloring(x, lists, mode="proper", r=0):
             return all(len({c[v] for v in e}) >= min(r, len(e)) for e in x.edges)
     else:
         count = [len(x.adj[v]) for v in range(x.n)]
-
-        def valid(c):
-            return oracle_valid(x, c, r if mode == "dynamic" else 0)
+        valid = oracle_validator(x, r if mode == "dynamic" else 0)
 
     order = sorted(range(x.n), key=lambda v: (-count[v], v))
     for combo in itertools.product(*(sorted(set(lists[v])) for v in order)):
@@ -135,8 +148,9 @@ def oracle_first_coloring(x, lists, mode="proper", r=0):
 
 def oracle_list_colorings(g, lists):
     """Yield every proper coloring picking from the given lists."""
+    edges = g.edges
     for combo in itertools.product(*lists):
-        if all(combo[u] != combo[v] for u, v in g.edges):
+        if all(combo[u] != combo[v] for u, v in edges):
             yield list(combo)
 
 
@@ -155,6 +169,7 @@ def oracle_is_k_choosable(x, k, mode="proper", r=0):
         order = list(range(x.n))
     else:
         order = sorted(range(x.n), key=lambda v: (-x.degree(v), v))
+        valid = oracle_validator(x, r)
 
     def first_fit(lists):
         color = [None] * x.n
@@ -169,7 +184,7 @@ def oracle_is_k_choosable(x, k, mode="proper", r=0):
         if mode == "strong":
             return solve_list_coloring(x, lists, mode="strong", r=r) is not None
         color = first_fit(lists)
-        if color is not None and oracle_valid(x, color, r):
+        if color is not None and valid(color):
             return True
         return solve_list_coloring(x, lists, mode, r) is not None
 
@@ -230,11 +245,12 @@ def oracle_strong_chi(h, r):
     raise AssertionError("n colors always suffice")
 
 
-def oracle_build_graph(n, edge_list) -> Graph:
+def oracle_build_graph(n, edge_list):
     """build_graph as first written: a sorted pair set, then the adjacency sets.
 
-    Rejects out-of-range endpoints and self-loops; duplicate and reversed
-    pairs collapse to a single edge.
+    Returns the graph and its sorted pair tuple, which Graph.edges must
+    reproduce.  Rejects out-of-range endpoints and self-loops; duplicate and
+    reversed pairs collapse to a single edge.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -250,7 +266,7 @@ def oracle_build_graph(n, edge_list) -> Graph:
     for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n=n, edges=edges, adj=tuple(frozenset(s) for s in nbrs))
+    return Graph(n=n, adj=tuple(frozenset(s) for s in nbrs)), edges
 
 
 def oracle_gnp(n, p, seed):

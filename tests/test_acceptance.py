@@ -38,7 +38,7 @@ from dyncolor import (
     resample_until_clear,
     sample_sublists,
 )
-from .helpers import oracle_chi, oracle_has_small_transversal, oracle_valid
+from .helpers import oracle_chi, oracle_has_small_transversal, oracle_valid, oracle_validator
 
 
 @contextmanager
@@ -158,13 +158,15 @@ def test_sublist_clearing_soundness(capsys):
                 if log.status != "clear":
                     continue
                 cleared += 1
+                edges, valid = g.edges, oracle_validator(g, 2)
                 for combo in itertools.product(*state.sublists):
-                    if any(combo[u] == combo[v] for u, v in g.edges):
+                    if any(combo[u] == combo[v] for u, v in edges):
                         continue
                     colorings += 1
-                    if not oracle_valid(g, combo, 2):
+                    if not valid(combo):
                         violations += 1
         k33 = generate("complete_bipartite", a=3, b=3)
+        k33_edges, k33_valid = k33.edges, oracle_validator(k33, 3)
         for t in range(25):
             rng = random.Random(20_000 + t)
             lists = [sorted(rng.sample(range(1, 10), 5)) for _ in range(6)]
@@ -174,10 +176,10 @@ def test_sublist_clearing_soundness(capsys):
                 continue
             cleared += 1
             for combo in itertools.product(*state.sublists):
-                if any(combo[u] == combo[v] for u, v in k33.edges):
+                if any(combo[u] == combo[v] for u, v in k33_edges):
                     continue
                 colorings += 1
-                if not oracle_valid(k33, combo, 3):
+                if not k33_valid(combo):
                     violations += 1
         assert cleared == 175  # frozen: 150 of 160 at r=2 plus 25 of 25 at r=3
         assert colorings == 5266  # frozen count of enumerated proper colorings

@@ -47,6 +47,10 @@ def test_validation():
         bounds_report(10, 0, 2)
     with pytest.raises(ValueError):
         bounds_report(10, 10, 2, p=-0.1)
+    # a missing degree or r is named, not compared with None
+    for args, name in (((5, None, 2), "min_degree"), ((None, 3, 2), "max_degree"), ((5, 3, None), "r")):
+        with pytest.raises(ValueError, match=f"^{name} is required$"):
+            bounds_report(*args)
 
 
 def test_sublist_degree_entry():

@@ -27,6 +27,7 @@ from .helpers import (
     oracle_normalize_lists,
     oracle_strong_chi,
     oracle_valid,
+    oracle_validator,
     random_lists,
 )
 
@@ -425,11 +426,12 @@ def oracle_first_use_coloring(g, k, r, order=None):
     prefixes = [()]
     for _ in order:
         prefixes = [p + (c,) for p in prefixes for c in range(1, min(max(p, default=0) + 1, k) + 1)]
+    valid = oracle_validator(g, r)
     for combo in prefixes:
         coloring = [None] * g.n
         for v, c in zip(order, combo):
             coloring[v] = c
-        if oracle_valid(g, coloring, r):
+        if valid(coloring):
             return coloring
     return None
 

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyncolor import (
+    Graph,
     bipartition,
     build_graph,
     build_hypergraph,
@@ -19,6 +24,8 @@ from dyncolor import (
     is_bipartite,
     is_k_degenerate,
     neighborhood_hypergraph,
+    parse_graph,
+    serialize_graph,
 )
 from dyncolor import graphs as graphs_module
 
@@ -68,6 +75,12 @@ def _built(build, n, edges):
         return f"ValueError: {exc}"
 
 
+def _graph_and_edges(n, edges):
+    # the oracle's result form: Graph equality compares n and adj alone
+    g = build_graph(n, edges)
+    return g, g.edges
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=-1, max_value=8), st.data())
 def test_build_graph_matches_oracle(n, data):
@@ -77,14 +90,58 @@ def test_build_graph_matches_oracle(n, data):
     edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30))
     if data.draw(st.booleans()):
         edges = [(u, v) for u, v in edges if 0 <= u < n and 0 <= v < n and u != v]
-    assert _built(build_graph, n, edges) == _built(oracle_build_graph, n, edges)
+    assert _built(_graph_and_edges, n, edges) == _built(oracle_build_graph, n, edges)
 
 
 def test_build_graph_matches_oracle_on_dense_shuffled_edges():
     rng = random.Random(3)
     edges = [(u, v) for u in range(60) for v in range(60) if u != v and rng.random() < 0.6]
     rng.shuffle(edges)
-    assert build_graph(60, edges) == oracle_build_graph(60, edges)
+    assert _graph_and_edges(60, edges) == oracle_build_graph(60, edges)
+
+
+def test_graph_stores_adjacency_alone():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+
+
+def test_edges_derived_from_shuffled_duplicated_reversed_pairs():
+    rng = random.Random(8)
+    pairs = [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.3]
+    want = tuple(pairs)
+    builds = []
+    for _ in range(2):
+        listed = pairs + [(v, u) for u, v in rng.sample(pairs, len(pairs) // 2)] + rng.sample(pairs, 20)
+        rng.shuffle(listed)
+        g = build_graph(30, listed)
+        assert g.edges == want and g.m == len(g.edges)
+        assert parse_graph(serialize_graph(g)) == g
+        builds.append(g)
+    assert builds[0] == builds[1] and hash(builds[0]) == hash(builds[1])
+
+
+def _footprint(adj):
+    # bytes of the tuple, its frozensets and the int objects they hold
+    # (the small ints are the interpreter's, shared by everyone)
+    ints = {id(v): v for nbrs in adj for v in nbrs}
+    return (
+        sys.getsizeof(adj)
+        + sum(map(sys.getsizeof, adj))
+        + sum(sys.getsizeof(v) for v in ints.values() if not -5 <= v <= 256)
+    )
+
+
+def test_graph_holds_about_its_adjacency_alone():
+    # with its pair tuple stored as well this graph held about 1.4 times its
+    # adjacency; gc.collect empties the interpreter's free lists, which keep
+    # tuples the generator let go
+    tracemalloc.start()
+    try:
+        g = generate("gnp", seed=1, n=2000, p=0.005)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * _footprint(g.adj)
 
 
 def test_generate_cycle_complete_bipartite():
