@@ -39,6 +39,8 @@ def _finite(func):
 def _check_sublist_params(degree, r, slack, sublist_size):
     if min(degree, r, slack, sublist_size) <= 0:
         raise ValueError("all parameters must be positive")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     _check_slack(slack, r)
 
 
@@ -104,7 +106,8 @@ def bounds_report(
     neighborhood spanning at most maxdeg^2/f edges, degree_ratio_cap the c
     with maxdeg/mindeg <= c.  Entries with missing inputs stay in the report,
     flagged inapplicable with the missing names listed; the degrees and r
-    are required, and None for one raises ValueError naming it.  Inputs whose
+    are required, and None for one raises ValueError naming it; degrees
+    below 1, where ln(max_degree) < 0, raise it too.  Inputs whose
     arithmetic overflows a float raise ValueError naming the entry.
     """
     inputs = {
@@ -127,6 +130,8 @@ def bounds_report(
     _check_r(r, 2)
     if max_degree < min_degree:
         raise ValueError(f"max degree {max_degree} below min degree {min_degree}")
+    if min_degree < 1:
+        raise ValueError(f"degrees must be >= 1, got min degree {min_degree}")
     results = []
     cond = {"condition_lhs": None, "condition_rhs": min_degree}
 

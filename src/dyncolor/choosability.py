@@ -144,7 +144,7 @@ def _steps(n, edges, need, graph):
     v closes, then per hyperedge open after v: a state that fails to close
     an edge is dropped before anything is copied.
     """
-    pairs = [((u, v), 2) for u, nu in enumerate(edges) if graph for v in sorted(nu) if v > u]
+    pairs = [(e, 2) for e in Graph(n, edges).edges] if graph else []
     needs = [*pairs, *zip(edges, need)]
     edges = list(dict.fromkeys((frozenset(e), t) for e, t in needs if t >= 2))
     near = [set() for _ in range(n)]

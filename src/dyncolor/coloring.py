@@ -45,14 +45,17 @@ search only after a dead end; `solve_list_coloring` and the sublist
 pipeline share it.
 
 A list's normal form is a sorted tuple of distinct, hashable colors, and
-the type `_Sorted` records that a list is in it: `_normalize_lists` builds
-every list it changes as one, and the sampler of `sublists` draws them from
-normalized lists, so lists that were parsed or drawn pass later
-normalizations after their length check alone.
+the type `_Sorted` is the one mark that a list is in it: `_normalize_lists`
+passes a `_Sorted` list through after its length check alone and builds
+every other list as one, and the sampler of `sublists` draws them with
+`random.Random`, so lists that were parsed or drawn are not rebuilt.
 
-Solvers are exhaustive and meant for small instances; every public entry
-point with exponential behavior takes a size guard as a keyword parameter
-(the defaults are the supported scale, not hard limits).
+Solvers are exhaustive and meant for small instances.  `chi_exact`,
+`construction_report` and exact-mode `experiment_random_graphs` take a
+size guard `max_n`, `is_k_choosable` also `max_k` (the defaults are the
+supported scale, not hard limits); `solve_list_coloring`, and so `solve
+--mode exact` and the pipeline's search fallback, is unbounded until
+the search gets a budget.
 
 Choosability (`is_k_choosable`) lives in the `choosability` module:
 `_least_k` at k answers False when 1..k admit no coloring (ch >= chi);
@@ -63,7 +66,6 @@ colorings projected onto the boundary, memoized up to color renaming.
 
 from __future__ import annotations
 
-import operator
 from heapq import heapify, heappop, heappush
 
 from .graphs import Graph, Hypergraph, _components
@@ -98,8 +100,8 @@ def _check_cap(n, max_n, name="n"):
 class _Sorted(tuple):
     """A list in normal form: its colors distinct, ascending and hashed.
 
-    Only `_normalize_lists` and the sampler of `sublists`, drawing from such
-    lists, make one, so a list of this type needs no second look.
+    Only `_normalize_lists` and the `random.Random` draws of the `sublists`
+    sampler make one, so a list of this type needs no second look.
     """
 
     __slots__ = ()
@@ -108,23 +110,14 @@ class _Sorted(tuple):
 def _normalize_lists(n, lists, floor=1):
     """Each list as a sorted tuple of distinct colors, at least floor of them.
 
-    A `_Sorted` list is one already and comes back as the same object after
-    the floor check alone; parsed lists, and lists drawn from normalized
-    lists or from 1..universe, are of that type.  A plain strictly ascending
-    tuple is one too and also comes back as the same object, after one
-    ascending check and one hash (unhashable colors raise TypeError as
-    set() would).  Any other value becomes _Sorted(sorted(set(colors))).
+    A `_Sorted` list (parsed, or drawn by `random.Random`) comes back as the
+    same object after the floor check alone; any other value, a plain
+    ascending tuple too, becomes _Sorted(sorted(set(colors))).
     """
     _check_len(n, lists, "list assignment")
     out = []
     for v, colors in enumerate(lists):
-        if type(colors) is _Sorted:
-            t = colors
-        elif type(colors) is tuple and all(map(operator.lt, colors, colors[1:])):
-            hash(colors)
-            t = colors
-        else:
-            t = _Sorted(sorted(set(colors)))
+        t = colors if type(colors) is _Sorted else _Sorted(sorted(set(colors)))
         if len(t) < floor:
             raise ValueError(f"list at vertex {v} has {len(t)} colors, needs >= {floor}")
         out.append(t)

@@ -114,10 +114,10 @@ def _sorted_sampler(rng, k):
     (m, m.bit_length()) of each population size are worked out once per
     sampler; the set branch, subclasses of Random and an invalid k use
     rng.sample.  Its callers draw from normalized lists or from distinct
-    ints, so the inline branch's k distinct slots, sorted, make a `_Sorted`
-    list, which `_normalize_lists` passes through unchecked.  Draws by
-    rng.sample stay plain tuples, which it checks once: a subclass of
-    Random may override sample and repeat items.
+    ints, and Random.sample picks k distinct positions in both branches, so
+    every draw of a `random.Random` is a `_Sorted` list, which
+    `_normalize_lists` passes through unchecked.  A subclass of Random gets
+    plain tuples, which it rebuilds: its sample may repeat items.
     """
     if type(rng) is not random.Random:
         return lambda population: tuple(sorted(rng.sample(population, k)))
@@ -133,7 +133,7 @@ def _sorted_sampler(rng, k):
             tries[n] = [(m, m.bit_length()) for m in range(n, n - k, -1)] if inline else None
         steps = tries[n]
         if steps is None:
-            return tuple(sorted(rng.sample(population, k)))
+            return _Sorted(sorted(rng.sample(population, k)))
         pool = list(population)
         for m, bits in steps:
             # one getrandbits call per try, as Random._randbelow makes them

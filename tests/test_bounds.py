@@ -53,6 +53,31 @@ def test_validation():
             bounds_report(*args)
 
 
+def test_degrees_below_one_raise():
+    # below 1, ln(max_degree) is negative, so every condition's left side
+    # drops below min_degree and the conditions would claim to hold
+    for args in ((0.5, 0.5, 2), (5, 0.5, 2), (0.99, 0.99, 3)):
+        with pytest.raises(ValueError, match=f"^degrees must be >= 1, got min degree {args[1]}$"):
+            bounds_report(*args, list_size=1, slack=1)
+    with pytest.raises(ValueError, match="^degree must be >= 1, got 0.5$"):
+        sublist_condition_holds(0.5, 0.5, 2, 1, 1)
+    with pytest.raises(ValueError, match="^degree must be >= 1, got 0.5$"):
+        sublist_condition_lhs(0.5, 2, 1, 1)
+    for formula in (fixed_set_hits_all_bound, bad_event_bound):
+        with pytest.raises(ValueError, match="^degree must be >= 1, got 0.5$"):
+            formula(1, 1, 2, 0.5)
+    # an input <= 0 keeps the positivity text
+    with pytest.raises(ValueError, match="^min_degree must be positive, got 0$"):
+        bounds_report(0.5, 0, 2)
+    with pytest.raises(ValueError, match="^all parameters must be positive$"):
+        sublist_condition_lhs(0.5, 2, 0, 1)
+    # fractional degrees from 1 up stay valid
+    e = entry(bounds_report(1.5, 1, 2, list_size=1, slack=1), "sublist_degree")
+    assert e["condition_lhs"] == pytest.approx((3 * math.log(1.5) + math.log(2) + 1) * 2)
+    assert not e["applicable"]
+    assert sublist_condition_lhs(1, 2, 1, 1) == pytest.approx((math.log(2) + 1) * 2)
+
+
 def test_sublist_degree_entry():
     rep = bounds_report(24, 24, 2, list_size=1, slack=1)
     e = entry(rep, "sublist_degree")

@@ -216,6 +216,13 @@ def test_bounds_overflow_exits_2(capsys):
     assert code == 0 and out["report"]["inputs"]["r"] == 46
 
 
+def test_bounds_degree_below_one_exits_2(capsys):
+    argv = ["bounds", "--Delta", "0.5", "--delta", "0.5", "--r", "2", "--l", "1", "--s", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: degrees must be >= 1, got min degree 0.5\n"
+
+
 def test_experiment(capsys):
     argv = [
         "experiment", "--n", "10", "--p", "0.4", "--r", "2",

@@ -129,7 +129,9 @@ def test_is_r_dynamic_compares_colors_as_a_set_does():
 def color_collections(draw):
     # ints mixed with bools, so that (0, True)-style lists occur
     colors = draw(st.lists(st.one_of(st.integers(min_value=-3, max_value=6), st.booleans()), max_size=6))
-    kind = draw(st.sampled_from(["ascending", "repeated", "descending", "tuple", "list", "set", "range"]))
+    kind = draw(st.sampled_from(["sorted", "ascending", "repeated", "descending", "tuple", "list", "set", "range"]))
+    if kind == "sorted":
+        return _Sorted(sorted(set(colors)))
     if kind == "ascending":
         return tuple(sorted(set(colors)))
     if kind == "repeated":
@@ -158,13 +160,14 @@ def test_normalize_lists_matches_oracle(lists, floor):
     got = _normalize_lists(len(lists), lists, floor)
     assert repr(got) == repr(want)  # repr tells True from 1
     for t, out in zip(lists, got):
-        if type(t) is tuple and repr(t) == repr(out):
-            assert out is t  # a list already in normal form is passed through
+        assert type(out) is _Sorted
+        if type(t) is _Sorted:
+            assert out is t  # a list marked as in normal form is passed through
 
 
 def test_normalize_lists_passes_normal_tuples_through():
     t = (1, 2, 5)
-    assert _normalize_lists(1, [t])[0] is t
+    assert _normalize_lists(1, [t])[0] == t
     assert _normalize_lists(3, [(0, True), (True, 1), (2, 1)]) == [(0, True), (True,), (1, 2)]
 
     class Colors(tuple):
@@ -172,9 +175,9 @@ def test_normalize_lists_passes_normal_tuples_through():
 
     got = _normalize_lists(1, [Colors((1, 2))])[0]
     assert type(got) is _Sorted and got == (1, 2)
-    # a plain ascending tuple stays a plain one; what is rebuilt is _Sorted,
-    # and a _Sorted list comes back as the same object
-    assert type(_normalize_lists(1, [t])[0]) is tuple
+    # a plain ascending tuple is rebuilt as _Sorted, like every list that is
+    # not one, and a _Sorted list comes back as the same object
+    assert type(_normalize_lists(1, [t])[0]) is _Sorted
     s = _normalize_lists(1, [[5, 1, 5]])[0]
     assert type(s) is _Sorted and s == (1, 5)
     assert _normalize_lists(1, [s])[0] is s

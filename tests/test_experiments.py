@@ -36,14 +36,15 @@ class _Subclass(random.Random):
 @pytest.mark.parametrize(
     "n, size, universe, rng_type, sorted_type",
     [(40, 3, 9, random.Random, _Sorted), (40, 43, 86, random.Random, _Sorted),
-     (30, 64, 128, random.Random, _Sorted), (20, 10, 1000, random.Random, tuple),
+     (30, 64, 128, random.Random, _Sorted), (20, 10, 1000, random.Random, _Sorted),
      (20, 5, 9, _Subclass, tuple)],
 )
 def test_random_list_assignment_draws_as_random_sample(n, size, universe, rng_type, sorted_type):
     # the lists and the rng state are those of one rng.sample call on the
     # range per vertex: in Random.sample's pool branch, which the sampler
-    # inlines and whose draws are _Sorted, in its set branch (10 of 1000),
-    # and for a subclass of Random, which the sampler leaves to rng.sample
+    # inlines, and in its set branch (10 of 1000), both drawing _Sorted
+    # lists, and for a subclass of Random, which the sampler leaves to
+    # rng.sample and whose draws stay plain tuples
     for seed in range(3):
         ours, theirs = rng_type(seed), rng_type(seed)
         lists = random_list_assignment(n, size, universe, ours)

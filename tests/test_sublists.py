@@ -270,9 +270,9 @@ def test_empty_graph_resamples_under_the_default_cap():
 
 
 def test_drawn_sublists_are_sorted_lists():
-    # the inline pool branch draws distinct items of a normalized list and
-    # sorts them, so its draws are _Sorted and later normalizations pass
-    # them as the same object; rng.sample's branches keep plain tuples
+    # Random.sample draws distinct items of a normalized list in both its
+    # branches, so the draws are _Sorted and later normalizations pass them
+    # as the same object; a subclass of Random keeps plain tuples
     g = generate("complete", n=5)
     state = sample_sublists([list(range(6, 0, -1))] * 5, 5, seed=3, r=2)
     first = list(state.sublists)
@@ -282,7 +282,7 @@ def test_drawn_sublists_are_sorted_lists():
     redrawn = [t for t, old in zip(state.sublists, first) if t is not old]
     assert log.iterations == 3 and len(redrawn) == 4 and {type(t) for t in redrawn} == {_Sorted}
     assert type(_sorted_sampler(random.Random(0), 3)(range(1, 10))) is _Sorted
-    assert type(_sorted_sampler(random.Random(0), 3)(range(300))) is tuple  # set branch
+    assert type(_sorted_sampler(random.Random(0), 3)(range(300))) is _Sorted  # set branch
     assert type(_sorted_sampler(_CoarseRandom(0), 3)(range(1, 10))) is tuple
 
 
