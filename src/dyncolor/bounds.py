@@ -58,8 +58,7 @@ def sublist_condition_holds(max_degree, min_degree, r, slack, sublist_size) -> b
     with l the sublist size and s the slack.  When it holds, lists of size
     l + s + r - 2 suffice for an r-dynamic list coloring.
     """
-    if min_degree <= 0:
-        raise ValueError("all parameters must be positive")
+    _check_sublist_params(min_degree, r, slack, sublist_size)
     return sublist_condition_lhs(max_degree, r, slack, sublist_size) <= min_degree
 
 

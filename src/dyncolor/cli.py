@@ -8,6 +8,10 @@ invariant check or exhausted recursion, reported as one line on stderr), 4
 when the process runs out of memory (one line on stderr; an instance too
 large for the memory the process may use is neither infeasible nor an
 internal error).
+
+The flags of chi, choosable, construct, bounds and experiment name the
+keywords of the library call each command makes, and reach it by name, so an
+omitted --max-n or --max-k takes the library's default.
 """
 
 from __future__ import annotations
@@ -77,59 +81,38 @@ def _cmd_solve(args):
     return 0 if out["coloring"] is not None else 1
 
 
+def _keywords(args, *skip):
+    """The parsed flags as the library's keywords, less the named ones."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", *skip)}
+
+
 def _cmd_chi(args):
-    chi = coloring.chi_exact(_load(args), mode=args.mode, r=args.r, max_n=args.max_n)
+    chi = coloring.chi_exact(_load(args), **_keywords(args, "graph", "hypergraph"))
     _emit({"command": "chi", "mode": args.mode, "r": args.r, "chi": chi})
     return 0
 
 
 def _cmd_choosable(args):
-    ok = choosability.is_k_choosable(
-        _load(args), args.k, mode=args.mode, r=args.r, max_n=args.max_n, max_k=args.max_k
-    )
+    ok = choosability.is_k_choosable(_load(args), **_keywords(args, "graph", "hypergraph"))
     _emit({"command": "choosable", "mode": args.mode, "k": args.k, "r": args.r, "choosable": ok})
     return 0
 
 
 def _cmd_construct(args):
     h = io.parse_hypergraph(_read(args.hypergraph))
-    report = constructions.construction_report(
-        h, args.r, args.k, args.seed, max_n=args.max_n
-    )
+    report = constructions.construction_report(h, **_keywords(args, "hypergraph"))
     _emit({"command": "construct", "report": report})
     return 0
 
 
 def _cmd_bounds(args):
-    report = bounds_mod.bounds_report(
-        max_degree=args.Delta,
-        min_degree=args.delta,
-        r=args.r,
-        list_size=args.l,
-        slack=args.s,
-        n=args.n,
-        p=args.p,
-        neighborhood_sparsity=args.f,
-        degree_ratio_cap=args.ratio_cap,
-    )
+    report = bounds_mod.bounds_report(**_keywords(args))
     _emit({"command": "bounds", "report": report})
     return 0
 
 
 def _cmd_experiment(args):
-    report = experiments.experiment_random_graphs(
-        n=args.n,
-        r=args.r,
-        trials=args.trials,
-        seed=args.seed,
-        mode=args.mode,
-        p=args.p,
-        d=args.d,
-        sublist_size=args.sublist_size,
-        slack=args.slack,
-        max_iters=args.max_iters,
-        max_n=args.max_n,
-    )
+    report = experiments.experiment_random_graphs(**_keywords(args))
     _emit({"command": "experiment", "report": report})
     return 0
 
@@ -168,7 +151,7 @@ def build_parser():
     ch.add_argument("--hypergraph")
     ch.add_argument("--mode", choices=["proper", "dynamic", "strong"], default="proper")
     ch.add_argument("--r", type=int, default=0)
-    ch.add_argument("--max-n", type=int, default=12)
+    ch.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
     ch.set_defaults(func=_cmd_chi)
 
     co = sub.add_parser("choosable", help="exact choosability on tiny instances")
@@ -177,8 +160,8 @@ def build_parser():
     co.add_argument("--k", type=int, required=True)
     co.add_argument("--mode", choices=["proper", "dynamic", "strong"], default="proper")
     co.add_argument("--r", type=int, default=0)
-    co.add_argument("--max-n", type=int, default=8)
-    co.add_argument("--max-k", type=int, default=4)
+    co.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
+    co.add_argument("--max-k", type=int, default=argparse.SUPPRESS)
     co.set_defaults(func=_cmd_choosable)
 
     cn = sub.add_parser("construct", help="augment a hypergraph and verify its incidence graph")
@@ -186,19 +169,30 @@ def build_parser():
     cn.add_argument("--r", type=int, required=True)
     cn.add_argument("--k", type=int, required=True)
     cn.add_argument("--seed", type=int, default=0)
-    cn.add_argument("--max-n", type=int, default=12)
+    cn.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
     cn.set_defaults(func=_cmd_construct)
 
     b = sub.add_parser("bounds", help="evaluate the degree-condition bounds")
-    b.add_argument("--Delta", type=float, required=True, help="maximum degree")
-    b.add_argument("--delta", type=float, required=True, help="minimum degree")
+    # each dest is the bounds_report keyword; each metavar keeps the flag's own name in --help
+    b.add_argument(
+        "--Delta", type=float, required=True, dest="max_degree", metavar="DELTA",
+        help="maximum degree",
+    )
+    b.add_argument(
+        "--delta", type=float, required=True, dest="min_degree", metavar="DELTA",
+        help="minimum degree",
+    )
     b.add_argument("--r", type=int, required=True)
-    b.add_argument("--l", type=float, default=None, help="list size / choosability")
-    b.add_argument("--s", type=float, default=None, help="slack")
+    b.add_argument(
+        "--l", type=float, dest="list_size", metavar="L", help="list size / choosability"
+    )
+    b.add_argument("--s", type=float, dest="slack", metavar="S", help="slack")
     b.add_argument("--n", type=float, default=None)
     b.add_argument("--p", type=float, default=None)
-    b.add_argument("--f", type=float, default=None, help="neighborhood sparsity")
-    b.add_argument("--ratio-cap", type=float, default=None)
+    b.add_argument(
+        "--f", type=float, dest="neighborhood_sparsity", metavar="F", help="neighborhood sparsity"
+    )
+    b.add_argument("--ratio-cap", type=float, dest="degree_ratio_cap", metavar="RATIO_CAP")
     b.set_defaults(func=_cmd_bounds)
 
     e = sub.add_parser("experiment", help="seeded random-graph experiments")
@@ -212,7 +206,7 @@ def build_parser():
     e.add_argument("--sublist-size", type=int, default=None)
     e.add_argument("--slack", type=int, default=None)
     e.add_argument("--max-iters", type=int, default=None)
-    e.add_argument("--max-n", type=int, default=12)
+    e.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
     e.set_defaults(func=_cmd_experiment)
 
     return parser

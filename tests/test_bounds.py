@@ -61,6 +61,9 @@ def test_degrees_below_one_raise():
             bounds_report(*args, list_size=1, slack=1)
     with pytest.raises(ValueError, match="^degree must be >= 1, got 0.5$"):
         sublist_condition_holds(0.5, 0.5, 2, 1, 1)
+    # a max degree from 1 up does not let a min degree below 1 through
+    with pytest.raises(ValueError, match="^degree must be >= 1, got 0.5$"):
+        sublist_condition_holds(5, 0.5, 2, 1, 1)
     with pytest.raises(ValueError, match="^degree must be >= 1, got 0.5$"):
         sublist_condition_lhs(0.5, 2, 1, 1)
     for formula in (fixed_set_hits_all_bound, bad_event_bound):

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 
 import pytest
 
-from dyncolor import coloring
-from dyncolor.cli import _emit, main
+from dyncolor import (
+    bounds,
+    choosability,
+    coloring,
+    constructions,
+    experiments,
+    generate,
+    serialize_graph,
+)
+from dyncolor.cli import _emit, _keywords, build_parser, main
 
 C4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 K4 = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
@@ -232,6 +241,72 @@ def test_experiment(capsys):
     assert code == 0
     assert out["report"]["summary"]["success_rate"] == 1.0
     assert len(out["report"]["trials"]) == 3
+
+
+@pytest.mark.parametrize(
+    "minimal, rest, function, skip",
+    [
+        (["chi", "--graph", "g"], ["--max-n", "5"], coloring.chi_exact, ("graph", "hypergraph")),
+        (
+            ["choosable", "--graph", "g", "--k", "2"],
+            ["--max-n", "5", "--max-k", "3"],
+            choosability.is_k_choosable,
+            ("graph", "hypergraph"),
+        ),
+        (
+            ["construct", "--hypergraph", "h", "--r", "2", "--k", "2"],
+            ["--max-n", "5"],
+            constructions.construction_report,
+            ("hypergraph",),
+        ),
+        (
+            ["bounds", "--Delta", "3", "--delta", "2", "--r", "2"],
+            ["--l", "1", "--s", "1", "--n", "9", "--p", "0.5", "--f", "1", "--ratio-cap", "2"],
+            bounds.bounds_report,
+            (),
+        ),
+        (
+            ["experiment", "--n", "5", "--r", "2", "--trials", "1", "--mode", "exact"],
+            ["--p", "0.5", "--d", "2", "--sublist-size", "2", "--slack", "1", "--max-iters", "3",
+             "--max-n", "5"],
+            experiments.experiment_random_graphs,
+            (),
+        ),
+    ],
+    ids=["chi", "choosable", "construct", "bounds", "experiment"],
+)
+def test_flags_bind_to_the_library_keywords(minimal, rest, function, skip):
+    # each command hands its flags to one library call by name, so a dest that
+    # names no keyword fails here without running a search
+    signature = inspect.signature(function)
+    instance = (None,) if skip else ()  # a command that reads an instance passes it first
+    parser = build_parser()
+    given = _keywords(parser.parse_args(minimal), *skip)
+    # an omitted cap is absent, so the library's own default applies
+    assert not {"max_n", "max_k"} & set(given)
+    signature.bind(*instance, **given)
+    signature.bind(*instance, **_keywords(parser.parse_args(minimal + rest), *skip))
+
+
+def test_cap_defaults_are_the_librarys(ws, capsys):
+    c13 = ws("c13.txt", serialize_graph(generate("cycle", n=13)))
+    c9 = ws("c9.txt", serialize_graph(generate("cycle", n=9)))
+    k33 = ws("k33.txt", serialize_graph(generate("complete_bipartite", a=3, b=3)))
+    base = ws("base.txt", "h 7 4\n1 2\n2 3\n3 4\n5 6\n")
+    for argv, line in [
+        (["chi", "--graph", c13], "n=13 exceeds cap 12; pass max_n"),
+        (["choosable", "--graph", c9, "--k", "3"], "n=9 exceeds cap 8; pass max_n"),
+        (["choosable", "--graph", k33, "--k", "5"], "k=5 exceeds cap 4; pass max_k"),
+        (
+            ["construct", "--hypergraph", base, "--r", "3", "--k", "3", "--seed", "4"],
+            "n=22 exceeds cap 12; pass max_n",
+        ),
+        (
+            ["experiment", "--mode", "exact", "--n", "13", "--p", "0.5", "--r", "2", "--trials", "1"],
+            "n=13 exceeds cap 12; pass max_n",
+        ),
+    ]:
+        assert run(capsys, argv) == (2, "", f"error: {line} to override\n")
 
 
 def test_usage_errors_exit_2(ws, capsys):
