@@ -20,18 +20,18 @@ the same neighborhood) and, in list mode, with the same list, take colors
 in ascending order along the search order.  Swapping two twins' colors
 keeps a coloring valid, so the lexicographically least valid coloring
 already does that; K_{12,12}'s chi_3 refutes k = 5 in milliseconds where it
-ran past a minute.  A fifth rule, the block rule, lays the order out in
-connected components and answers None when the search backtracks past a
-component's first vertex: that component has no valid coloring whatever
-the others hold, and the least valid coloring restricts on each component
-to that component's least, so no leaf moves (see `_search`).  So the first
-leaf in this order, and every coloring returned, is the one a search
-without the cuts would return.
+ran past a minute.  At a dead end the search jumps back by conflict-directed
+backjumping (Prosser 1993): to the latest vertex whose color the failures
+there read, or out of the search, with None at that k, when they read
+none, as when a connected component cannot be colored.  The jumps skip only
+branches without a valid coloring, so no leaf moves (see `_search`).  So the
+first leaf in this order, and every coloring returned, is the one a
+chronological search without the cuts would return.
 The exact chromatic numbers are the least k at which the first-use search
 succeeds, and every first-use decision goes through `_least_k`, one
-`_search` call over its ks that derives the order, blocks and twin table
-once: `chi_exact`, `construction_report`, which lifts its strong coloring,
-and choosability's k-coloring rung at a single k.  Whether 1..k admit a
+`_search` call over its ks that derives the order and twin table once:
+`chi_exact`, `construction_report`, which lifts its strong coloring, and
+choosability's k-coloring rung at a single k.  Whether 1..k admit a
 valid coloring is the same in every vertex order, so `_least_k` searches a
 graph in maximum-cardinality-search order (`_mcs_order`: next the vertex
 with the most ordered neighbors), where a relabelling moves only ties and a
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .graphs import Graph, Hypergraph, _components
+from .graphs import Graph, Hypergraph
 
 
 def _check_len(n, seq, what):
@@ -253,8 +253,7 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
     first-use order finds a coloring whenever 1..k admits one, since
     validity does not depend on the names of the colors.  Nor does it depend
     on the vertex order, which moves only which coloring comes first.  The
-    edge index, the order, its blocks and the twin table are built once for
-    all of ks.
+    edge index, the order and the twin table are built once for all of ks.
 
     A branch ends, after v takes c, when an edge holds more repeats than
     len(e) - need allows (spare), or when forward checking finds an
@@ -286,30 +285,38 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
     that leaf and cuts only branches without it.  Each v is tied to the
     last such u before it, from a table built in one pass over the order.
 
-    Blocks: the order is laid out as the connected components of the
-    constraints (of G on a graph; of the 2-section on a hypergraph), each
-    keeping its vertices' relative order, in the order of their first
-    vertices.  Every cut and the first-use renaming act within one
-    component, and twins share an edge or lie in none (and then always find
-    a color), so when the search backtracks past a block's first vertex,
-    that component has no valid coloring from its lists, or from 1..k,
-    whatever the earlier blocks hold, and the answer at this k is None.
-    The components are independent, so the lexicographically least valid
-    coloring along any order restricts on each one to its least along the
-    induced order: the blocks keep the first leaf, and a later component
-    that cannot be colored no longer backtracks through every coloring of
-    the ones before it.
+    Backjumping (conflict-directed, Prosser 1993): each depth keeps a
+    conflict set of edge ids (on a graph id x stands for N(x)) whose colored
+    members' colors its failures read.  A repeat past spare, the avoid rule
+    and the bound read edge j, and on a graph the bound also reads N(u) of
+    each uncolored member u; the need rule reads every saturated edge
+    containing u, and N(u) on a graph.  On a graph each depth's set starts
+    with N(v), which a color skipped for being on N(v) reads.  A fresh color
+    that first-use order leaves untried fails for the same reasons as the
+    fresh color it tries, since the two swap.  Twins need nothing of their
+    own: v's first color is its twin u's, which v never skips (on a graph
+    it is not on N(v) = N(u)), and whatever ends that color reads an edge
+    that holds v, so the set holds an edge that holds u too.
+    When every color of v at depth d has failed, the colors of those edges'
+    members at earlier depths leave no valid coloring, whatever the depths
+    between hold.  So the search walks back to the latest such depth,
+    merges the set into that depth's (the smaller into the larger), and
+    undoes the depths in between without trying their other colors.  Only
+    the members colored when a set is read count, so the members a jump
+    uncolors drop out with no id taken out, and a set holds each id once.
+    When no member is colored, no earlier color matters: the answer at this
+    k is None.  No cut reads across connected components, so a
+    component that cannot be colored ends the search at its dead end,
+    however many colorings the earlier components have.  The jumps skip
+    only branches without a valid coloring, so the first leaf is the one
+    chronological backtracking finds (Kondrak and van Beek 1997).
     """
     member = [[] for _ in range(n)]
     for j, e in enumerate(edges):
         for v in e:
             member[v].append(j)
-    # the order laid out in component blocks; on a hypergraph edge j is node
-    # n + j, joined to its members
-    near = edges if graph else [*([n + j for j in m] for m in member), *edges]
-    blocks = _components(near, _order(member) if order is None else order)
-    order = [v for b in blocks for v in b]
-    heads = {b[0] for b in blocks}
+    if order is None:
+        order = _order(member)
     twin = [None] * n  # the last vertex before v with v's edges (and list), or None
     last = {}
     for v in order:
@@ -333,10 +340,15 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
         taken = mult if graph else [()] * n  # the colors on N(v), which v may not take
         color = [None] * n
         # An explicit stack of color iterators, one per depth, so that the
-        # search depth is not bounded by the interpreter's recursion limit.  A
-        # vertex still colored at the loop head was extended (or pruned) with
-        # that color; it is taken off before the next one is tried.
+        # search depth is not bounded by the interpreter's recursion limit,
+        # and beside it the stack conf of the depths' conflict sets.  A vertex
+        # still colored at the loop head was extended (or pruned) with that
+        # color; it is taken off before the next one is tried, and while the
+        # search jumps back to depth back, each depth above back is popped
+        # once its color is off.
         stack = [iter(lists[order[0]] if k is None else (1,))]
+        conf = [{order[0]} if graph else set()]
+        back = n
         while stack:
             depth = len(stack) - 1
             v = order[depth]
@@ -350,13 +362,26 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                     else:
                         mj[c] -= 1
                         repeats[j] -= 1
+            if depth > back:
+                stack.pop()
+                conf.pop()
+                continue
+            back = n
             held = taken[v]
             for c in stack[-1]:
                 if c not in held:
                     break
             else:
-                if v in heads:  # block rule: v's component has no valid coloring
+                cs = conf.pop()
+                back = depth - 1  # the latest depth whose vertex lies in an edge of cs
+                while back >= 0 and cs.isdisjoint(member[order[back]]):
+                    back -= 1
+                if back < 0:  # no earlier color matters: no valid coloring at this k
                     break
+                # the smaller set into the larger, so a chain of jumps stays linear
+                if len(cs) > len(conf[back]):
+                    conf[back], cs = cs, conf[back]
+                conf[back] |= cs
                 stack.pop()
                 continue
             color[v] = c
@@ -364,8 +389,9 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
             # members unchanged, so only an edge that now holds c twice can fall
             # below its need.  In first-use order the colors in use are 1..used,
             # so forward checking finds no vertex without candidates until all
-            # of 1..k are in use.
-            pruned = False
+            # of 1..k are in use.  why holds the edge ids the first cut read;
+            # later cuts are not checked.
+            why = None
             if k is None:
                 look = True
             else:
@@ -378,8 +404,8 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                     mj[c] += 1
                     repeats[j] += 1
                     if repeats[j] > spare[j]:
-                        pruned = True
-                    elif look and not pruned and len(mj) < need[j] and repeats[j] < spare[j]:
+                        why = why or (j,)
+                    elif look and not why and len(mj) < need[j] and repeats[j] < spare[j]:
                         # distinct-color bound.  The N(u) this loop has yet to
                         # reach lack only c, which j holds, so they exclude here
                         # what they will exclude once updated
@@ -394,32 +420,35 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                                 if len(fresh) >= want:
                                     break
                         else:
-                            pruned = True
+                            why = [j]
+                            if graph:
+                                why += [u for u in edges[j] if color[u] is None]
                 else:
                     mj[c] = 1
                     if (  # avoid rule: c is new on N(j)
                         look
+                        and not why
                         and graph
                         and color[j] is None
                         and len(mj) >= size[j]
                         and (lists is None or all(map(mj.__contains__, lists[j])))
                     ):
-                        pruned = True
+                        why = (j,)
                 if look and repeats[j] == spare[j]:
                     full.append(j)
-            if pruned:
-                continue
-            if full:  # need rule, one check per vertex however many edges share it
+            if not why and full:  # need rule, one check per vertex however many edges share it
                 for u in {u for j in full for u in edges[j] if color[u] is None}:
                     seen = set(taken[u])
                     for i in member[u]:
                         if repeats[i] == spare[i]:
                             seen.update(mult[i])
                     if len(seen) >= size[u] and (lists is None or all(map(seen.__contains__, lists[u]))):
-                        pruned = True
+                        why = [u] if graph else []
+                        why += [i for i in member[u] if repeats[i] == spare[i]]
                         break
-                if pruned:
-                    continue
+            if why:
+                conf[depth].update(why)
+                continue
             if depth + 1 == n:
                 return k, list(color)
             w = order[depth + 1]
@@ -428,6 +457,7 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                 stack.append(iter(lists[w] if u is None else lists[w][lists[u].index(color[u]):]))
             else:
                 stack.append(iter(range(1 if u is None else color[u], min(used + 1, k) + 1)))
+            conf.append({w} if graph else set())
     return None, None
 
 
@@ -435,17 +465,17 @@ def _least_k(x, mode, r, max_n, ks=None):
     """The least k in ks at which colors 1..k admit a valid coloring, and the first one.
 
     The one first-use decision (see the module docstring for its callers and
-    its order), made by one _search call over all of ks, so the order, its
-    component blocks and the twin table are derived once, not per k.  A
-    component that 1..k cannot color ends that k at its first vertex.  The
-    coloring is the first leaf in that order: the lexicographically least
-    valid one along it, which is already in first-use form.  ks defaults to
-    the trivial lower bound up to n: the largest need, which alone takes that
-    many colors, plus one on a graph with an edge (a vertex of maximum degree
-    differs from its neighbors, which carry min(r, maxdeg) colors in dynamic
-    mode).  That range ends at k = n at the latest, since the all-distinct
-    coloring is valid in every mode; given ks with no colorable k, the result
-    is (None, None).
+    its order), made by one _search call over all of ks, so the order and
+    the twin table are derived once, not per k.  A component that 1..k
+    cannot color ends that k at its dead end, which no earlier component's
+    color explains.  The coloring is the first leaf in that order: the
+    lexicographically least valid one along it, which is already in
+    first-use form.  ks defaults to the trivial lower bound up to n: the
+    largest need, which alone takes that many colors, plus one on a graph
+    with an edge (a vertex of maximum degree differs from its neighbors,
+    which carry min(r, maxdeg) colors in dynamic mode).  That range ends at
+    k = n at the latest, since the all-distinct coloring is valid in every
+    mode; given ks with no colorable k, the result is (None, None).
     """
     edges, need, graph = _constraints(x, mode, r)
     _check_cap(x.n, max_n)
@@ -476,11 +506,11 @@ def solve_list_coloring(x: Graph | Hypergraph, lists, mode="proper", r=0):
     one.  Twins, vertices in the same edges with the same list, take colors
     in list order along the search order, as the first valid coloring does.
     The cuts keep every branch that holds that coloring, so it is the
-    result.  Each connected component is searched as one block of the order,
-    and a component whose lists admit no coloring answers None as soon as
-    the search backtracks past its first vertex; the first valid coloring
-    restricts on each component to that component's first, so the blocks
-    keep it.
+    result.  A dead end jumps back to the deepest vertex whose color the
+    failures there read, past the vertices between, and answers None when
+    they read none, as when a connected component's lists admit no
+    coloring; the jumps skip only branches without a valid coloring, so
+    they keep it.
     """
     constraints = _constraints(x, mode, r)
     lists = _normalize_lists(x.n, lists)
@@ -498,8 +528,9 @@ def chi_exact(x: Graph | Hypergraph, mode="proper", r=0, max_n=12) -> int:
     the work; on K_{a,b} the vertices of a side are twins, which the search
     colors in ascending order only, and its distinct-color bound ends a
     branch as soon as a neighborhood takes a repeat that the colors left to
-    its uncolored members cannot make up.  On a disconnected x a k that some
-    component cannot take fails at that component's first vertex, without
-    backtracking through the other components' colorings.
+    its uncolored members cannot make up.  A dead end jumps back to the
+    vertex whose color caused it, so on a disconnected x a k that some
+    component cannot take fails without backtracking through the other
+    components' colorings.
     """
     return _least_k(x, mode, r, max_n)[0]

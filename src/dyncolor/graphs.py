@@ -272,10 +272,8 @@ def is_bipartite(g: Graph) -> bool:
 def _components(near, order):
     """The vertices of order as the connected components of near, in blocks.
 
-    near[v] holds v's neighbors, which may include nodes not in order (a
-    hypergraph's edges, say): they join components but are not listed.
-    Each block keeps order's relative order, and the blocks go in the order
-    of their first vertices.
+    near[v] holds v's neighbors.  Each block keeps order's relative order,
+    and the blocks go in the order of their first vertices.
     """
     comp = [None] * len(near)
     blocks = []

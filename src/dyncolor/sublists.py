@@ -14,8 +14,11 @@ is the exhaustive search's first leaf whenever it does not dead-end;
 sublists longer than the maximum degree never dead-end, so then the search
 itself does not run.  After a dead end the search runs with forward
 checking: a branch ends as soon as an uncolored vertex has every color of
-its sublist on its neighborhood.  That cut removes only branches without a
-proper coloring, so the coloring is the one the plain search would find.
+its sublist on its neighborhood.  When a vertex runs out of colors, the
+search jumps back to the deepest vertex whose color those failures read
+(conflict-directed backjumping), not merely one step.  The cut and the
+jumps remove only branches without a proper coloring, so the coloring is
+the one the plain search would find.
 
 The resampling loop follows Moser and Tardos: the bad event at v reads only
 the sublists of N(v), so after redrawing the sublists of N(c) it rechecks

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,13 +509,13 @@ def _union(parts, rng=None):
 
 
 def test_blocks_keep_the_first_coloring_on_disconnected_instances():
-    # the search lays its order out in connected-component blocks and answers
-    # None when it backtracks past a block's first vertex; the first valid
-    # coloring restricts on each component to that component's first, so the
-    # results stay the brute-force oracles' along the unsplit order
-    # in degree order these components interleave: a search that kept that
-    # order and answered None past a component's first vertex would give up
-    # on a prefix of the other component, and return None
+    # no cut reads across components, so a dead end whose conflict set is
+    # empty answers None; the first valid coloring restricts on each
+    # component to that component's first, so the results stay the
+    # brute-force oracles' along the search order.
+    # in degree order these components interleave: a search that answered
+    # None past a component's first vertex in that order would give up on a
+    # prefix of the other component, and return None
     p3_k3 = build_graph(6, [(0, 3), (1, 3), (2, 4), (2, 5), (4, 5)])
     lists = [[2, 3], [2], [2, 3], [1, 2], [1], [1, 2]]
     assert solve_list_coloring(p3_k3, lists) == oracle_first_coloring(p3_k3, lists) == [2, 2, 3, 1, 1, 2]
@@ -566,10 +567,10 @@ def test_a_component_that_cannot_be_colored_ends_the_search():
 
 
 def test_block_rule_does_not_recolor_earlier_blocks(monkeypatch):
-    # a path, which 1..k color, is the first block; a later block cannot be
-    # colored from 1..k.  Every color a search iterator hands out is logged
-    # with its depth: once the later block is reached, no vertex of the path
-    # tries another color
+    # a path, which 1..k color, comes first in the order; a later component
+    # cannot be colored from 1..k.  Every color a search iterator hands out
+    # is logged with its depth: once the later component is reached, no
+    # vertex of the path tries another color
     tried = []
 
     def logged(colors):
@@ -593,6 +594,70 @@ def test_block_rule_does_not_recolor_earlier_blocks(monkeypatch):
             colors[depth] = c
         p4 = build_graph(4, path)
         assert colors == _search(4, *_constraints(p4, mode, r), ks=(k,), order=[0, 1, 2, 3])[1]
+
+
+def test_a_dead_end_jumps_past_a_vertex_it_did_not_read(monkeypatch):
+    # the path 1-0-3-2 in order 0, 1, 2, 3.  Vertex 2's only color fills
+    # N(3) with 3's list once vertex 0 holds 1: the dead end at depth 2 read
+    # depth 0 alone, so vertex 1, in the same component, tries no second color
+    tried = []
+
+    def logged(colors):
+        depth = tried[-1][0] + 1 if tried else 0
+        return ((tried.append((depth, c)), c)[1] for c in colors)
+
+    monkeypatch.setattr(coloring_mod, "iter", logged, raising=False)
+    g = build_graph(4, [(1, 0), (0, 3), (3, 2)])
+    lists = _normalize_lists(4, [[1, 2], [1, 2, 3], [3], [1, 3]])
+    assert _search(4, *_constraints(g, "proper", 0), lists=lists, order=[0, 1, 2, 3]) == (None, [2, 1, 3, 1])
+    # vertex 1 skips 1 (on N(1)) and takes 2; after the dead end vertex 0 takes 2
+    assert tried == [(0, 1), (1, 1), (1, 2), (2, 3), (0, 2), (1, 1), (2, 3), (3, 1)]
+    assert solve_list_coloring(g, lists) == oracle_first_coloring(g, lists) == [2, 1, 3, 1]
+
+
+def test_dynamic_list_search_refutes_a_relabelled_cycle():
+    # C_40 has no 2-dynamic coloring from 3 colors (40 is not a multiple of
+    # 3).  Relabelled, the degree order scatters the cycle; backtracking one
+    # depth at a time took about 3 s on a 2-core VM, and relabelled C_60,
+    # which has one, ran past 20 s
+    for n, colorable in ((40, False), (60, True)):
+        p = list(range(n))
+        random.Random(0).shuffle(p)
+        g = build_graph(n, [(p[u], p[v]) for u, v in generate("cycle", n=n).edges])
+        coloring = solve_list_coloring(g, [[1, 2, 3]] * n, "dynamic", 2)
+        assert (coloring is not None) == colorable
+        assert coloring is None or is_r_dynamic(g, coloring, 2)
+
+
+def test_a_jump_keeps_the_neighborhoods_the_bound_scanned():
+    # in this order the distinct-color bound prunes on the colors of the N(u)
+    # of uncolored members u; a conflict set without those N(u) jumps past
+    # every 3-coloring and answers 4
+    pairs = [(0, 1), (0, 4), (0, 5), (0, 6), (0, 8), (1, 5), (1, 9), (2, 3), (2, 7), (3, 4)]
+    pairs += [(3, 8), (3, 10), (4, 9), (5, 7), (5, 9), (6, 7), (6, 9), (7, 10), (8, 9)]
+    g = build_graph(11, pairs)
+    order = [7, 0, 10, 9, 6, 2, 3, 5, 4, 1, 8]
+    k, colors = _search(11, *_constraints(g, "dynamic", 2), ks=range(1, 12), order=order)
+    assert k == oracle_chi(g, 2) == 3
+    assert colors == [2, 1, 2, 3, 1, 3, 3, 1, 1, 2, 2]
+    assert oracle_valid(g, colors, 2)
+
+
+def test_a_deep_list_search_allocates_linear_memory():
+    # the search on C_12000 goes 12,000 deep.  Its conflict sets hold edge
+    # ids, so its allocations peak near 10 MB, as chronological backtracking's
+    # did (8 MB); sets kept as int bitsets over depths, each as wide as the
+    # deepest depth it names, peaked at 33 MB and grew with n squared
+    n = 12000
+    g = generate("cycle", n=n)
+    tracemalloc.start()
+    try:
+        coloring = solve_list_coloring(g, [[1, 2, 3]] * n, "dynamic", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_r_dynamic(g, coloring, 2)
+    assert peak < 20 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
