@@ -8,7 +8,9 @@ order:
 - the k-core, from the core numbers of one O(n + m) peel in `graphs`: a
   vertex of degree below k can always be colored last (Erdos, Rubin and
   Taylor, 1979, "Choosability in graphs"), so the graph is k-choosable iff
-  each component of its core is.  An empty core, k > degeneracy, is True;
+  each component of its core is: one O(n + m) walk reads them off in
+  ascending order of their least vertex, each relabelled by ascending id.
+  An empty core, k > degeneracy, is True;
 - per component at k = 2, Erdos-Rubin-Taylor: a connected 2-core is
   2-choosable iff it is an even cycle or theta_{2,2,2m}, True or False;
 - per bipartite component, Alon and Tarsi (1992, "Colorings and
@@ -50,7 +52,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import _check_cap, _constraints, _least_k, _mcs_order
-from .graphs import Graph, Hypergraph, _components, _core_numbers, build_graph, is_bipartite
+from .graphs import Graph, Hypergraph, _core_numbers, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
 
@@ -80,12 +82,24 @@ def _choosable(x, k, mode, r):
 
 
 def _core_components(g, k):
-    """The connected components of g's k-core, each relabelled 0..n'-1 by ascending id."""
+    """The connected components of g's k-core, in ascending order of their least vertex.
+
+    One O(n + m) walk up the core's vertices; each component is relabelled
+    0..n'-1 by ascending id and built from its adjacency.
+    """
     core = {v for v, c in enumerate(_core_numbers(g)) if c >= k}
-    near = [a & core for a in g.adj]
-    for comp in _components(near, sorted(core)):
-        name = {v: i for i, v in enumerate(comp)}
-        yield build_graph(len(comp), [(name[u], name[w]) for u in comp for w in near[u]])
+    left = set(core)
+    for s in sorted(core):
+        if s in left:
+            left.remove(s)
+            comp = [s]
+            for v in comp:
+                new = g.adj[v] & left
+                left -= new
+                comp += new
+            comp.sort()
+            name = {v: i for i, v in enumerate(comp)}
+            yield Graph(len(comp), tuple(frozenset([name[u] for u in g.adj[v] & core]) for v in comp))
 
 
 def _core_choosable(c, k):

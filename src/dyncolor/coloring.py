@@ -290,26 +290,27 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
     members' colors its failures read.  A repeat past spare, the avoid rule
     and the bound read edge j, and on a graph the bound also reads N(u) of
     each uncolored member u; the need rule reads every saturated edge
-    containing u, and N(u) on a graph.  On a graph each depth's set starts
-    with N(v), which a color skipped for being on N(v) reads.  A fresh color
-    that first-use order leaves untried fails for the same reasons as the
-    fresh color it tries, since the two swap.  Twins need nothing of their
-    own: v's first color is its twin u's, which v never skips (on a graph
-    it is not on N(v) = N(u)), and whatever ends that color reads an edge
-    that holds v, so the set holds an edge that holds u too.
-    When every color of v at depth d has failed, the colors of those edges'
-    members at earlier depths leave no valid coloring, whatever the depths
-    between hold.  So the search walks back to the latest such depth,
-    merges the set into that depth's (the smaller into the larger), and
-    undoes the depths in between without trying their other colors.  Only
-    the members colored when a set is read count, so the members a jump
-    uncolors drop out with no id taken out, and a set holds each id once.
-    When no member is colored, no earlier color matters: the answer at this
-    k is None.  No cut reads across connected components, so a
-    component that cannot be colored ends the search at its dead end,
-    however many colorings the earlier components have.  The jumps skip
-    only branches without a valid coloring, so the first leaf is the one
-    chronological backtracking finds (Kondrak and van Beek 1997).
+    containing u, and N(u) on a graph.  A depth's set is made at its first
+    failure, so a search that never fails makes none; on a graph N(v), read
+    by each color skipped for being on N(v), joins it at v's dead end.  A
+    fresh color that first-use order leaves untried fails for the same
+    reasons as the fresh color it tries, since the two swap.  Twins need
+    nothing of their own: v's first color is its twin u's, which v never
+    skips (on a graph it is not on N(v) = N(u)), and whatever ends that
+    color reads an edge that holds v, so the set holds an edge that holds u
+    too.  When every color of v at depth d has failed, the colors of those
+    edges' members at earlier depths leave no valid coloring, whatever the
+    depths between hold.  So the search walks back to the latest such depth,
+    merges the set into that depth's (the smaller into the larger, or whole
+    where it has none), and undoes the depths in between without trying
+    their other colors.  Only the members colored when a set is read count,
+    so the members a jump uncolors drop out with no id taken out, and a set
+    holds each id once.  When no member is colored, no earlier color
+    matters: the answer at this k is None.  No cut reads across connected
+    components, so a component that cannot be colored ends the search at its
+    dead end, however many colorings the earlier components have.  The jumps
+    skip only branches without a valid coloring, so the first leaf is the
+    one chronological backtracking finds (Kondrak and van Beek 1997).
     """
     member = [[] for _ in range(n)]
     for j, e in enumerate(edges):
@@ -341,13 +342,13 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
         color = [None] * n
         # An explicit stack of color iterators, one per depth, so that the
         # search depth is not bounded by the interpreter's recursion limit,
-        # and beside it the stack conf of the depths' conflict sets.  A vertex
-        # still colored at the loop head was extended (or pruned) with that
-        # color; it is taken off before the next one is tried, and while the
-        # search jumps back to depth back, each depth above back is popped
-        # once its color is off.
+        # and beside it the stack conf of the depths' conflict sets (None
+        # until a color there fails).  A vertex still colored at the loop head
+        # was extended (or pruned) with that color; it is taken off before the
+        # next one is tried, and while the search jumps back to depth back,
+        # each depth above back is popped once its color is off.
         stack = [iter(lists[order[0]] if k is None else (1,))]
-        conf = [{order[0]} if graph else set()]
+        conf = [None]
         back = n
         while stack:
             depth = len(stack) - 1
@@ -372,16 +373,19 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                 if c not in held:
                     break
             else:
-                cs = conf.pop()
+                cs = conf.pop() or set()
+                if graph:
+                    cs.add(v)
                 back = depth - 1  # the latest depth whose vertex lies in an edge of cs
                 while back >= 0 and cs.isdisjoint(member[order[back]]):
                     back -= 1
                 if back < 0:  # no earlier color matters: no valid coloring at this k
                     break
                 # the smaller set into the larger, so a chain of jumps stays linear
-                if len(cs) > len(conf[back]):
+                if conf[back] is None or len(cs) > len(conf[back]):
                     conf[back], cs = cs, conf[back]
-                conf[back] |= cs
+                if cs:
+                    conf[back] |= cs
                 stack.pop()
                 continue
             color[v] = c
@@ -447,6 +451,8 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                         why += [i for i in member[u] if repeats[i] == spare[i]]
                         break
             if why:
+                if conf[depth] is None:
+                    conf[depth] = set()
                 conf[depth].update(why)
                 continue
             if depth + 1 == n:
@@ -457,7 +463,7 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
                 stack.append(iter(lists[w] if u is None else lists[w][lists[u].index(color[u]):]))
             else:
                 stack.append(iter(range(1 if u is None else color[u], min(used + 1, k) + 1)))
-            conf.append({w} if graph else set())
+            conf.append(None)
     return None, None
 
 

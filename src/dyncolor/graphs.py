@@ -269,27 +269,6 @@ def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
 
 
-def _components(near, order):
-    """The vertices of order as the connected components of near, in blocks.
-
-    near[v] holds v's neighbors.  Each block keeps order's relative order,
-    and the blocks go in the order of their first vertices.
-    """
-    comp = [None] * len(near)
-    blocks = []
-    for s in order:
-        if comp[s] is None:
-            comp[s], todo = len(blocks), [s]
-            for v in todo:
-                for u in near[v]:
-                    if comp[u] is None:
-                        comp[u] = len(blocks)
-                        todo.append(u)
-            blocks.append([])
-        blocks[comp[s]].append(s)
-    return blocks
-
-
 def _core_numbers(g: Graph) -> list:
     """Every vertex's core number, by one min-degree peel in O(n + m).
 

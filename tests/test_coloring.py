@@ -644,10 +644,12 @@ def test_a_jump_keeps_the_neighborhoods_the_bound_scanned():
 
 
 def test_a_deep_list_search_allocates_linear_memory():
-    # the search on C_12000 goes 12,000 deep.  Its conflict sets hold edge
-    # ids, so its allocations peak near 10 MB, as chronological backtracking's
-    # did (8 MB); sets kept as int bitsets over depths, each as wide as the
-    # deepest depth it names, peaked at 33 MB and grew with n squared
+    # the search on C_12000 goes 12,000 deep without a dead end.  Its
+    # conflict sets hold edge ids and are made at a depth's first failure,
+    # so its allocations peak near 9 MB (10.5 MB with a set pushed at every
+    # depth; 8 MB for chronological backtracking); sets kept as int bitsets
+    # over depths, each as wide as the deepest depth it names, peaked at
+    # 33 MB and grew with n squared
     n = 12000
     g = generate("cycle", n=n)
     tracemalloc.start()
