@@ -85,7 +85,8 @@ def _core_components(g, k):
     """The connected components of g's k-core, in ascending order of their least vertex.
 
     One O(n + m) walk up the core's vertices; each component is relabelled
-    0..n'-1 by ascending id and built from its adjacency.
+    0..n'-1 by ascending id, which keeps every row ascending, and built from
+    its adjacency.
     """
     core = {v for v, c in enumerate(_core_numbers(g)) if c >= k}
     left = set(core)
@@ -94,12 +95,12 @@ def _core_components(g, k):
             left.remove(s)
             comp = [s]
             for v in comp:
-                new = g.adj[v] & left
+                new = left.intersection(g.adj[v])
                 left -= new
                 comp += new
             comp.sort()
             name = {v: i for i, v in enumerate(comp)}
-            yield Graph(len(comp), tuple(frozenset([name[u] for u in g.adj[v] & core]) for v in comp))
+            yield Graph(len(comp), tuple(tuple([name[u] for u in g.adj[v] if u in core]) for v in comp))
 
 
 def _core_choosable(c, k):
@@ -113,7 +114,7 @@ def _core_choosable(c, k):
         if not hubs:
             return c.n % 2 == 0
         ok = len(hubs) == 2 and c.degree(hubs[0]) == c.degree(hubs[1]) == 3 and c.n % 2 == 1
-        return ok and len(c.adj[hubs[0]] & c.adj[hubs[1]]) >= 2
+        return ok and len(set(c.adj[hubs[0]]).intersection(c.adj[hubs[1]])) >= 2
     if is_bipartite(c) and _orientable(c, k - 1):
         return True
     return _choosable(c, k, "proper", 0)

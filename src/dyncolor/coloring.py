@@ -182,7 +182,7 @@ def _order(member):
 
     member[v] lists the edges containing v; on a graph in proper or dynamic
     mode they are the neighborhoods N(u) of v's neighbors u, so the count is
-    v's degree and the adjacency sets serve as well.  Ties keep id order
+    v's degree and the adjacency rows serve as well.  Ties keep id order
     because sorted is stable.
     """
     count = [-len(m) for m in member]
@@ -190,7 +190,7 @@ def _order(member):
 
 
 def _mcs_order(adj):
-    """Maximum-cardinality-search order of the adjacency sets adj.
+    """Maximum-cardinality-search order of the adjacency rows adj.
 
     Next is the unordered vertex with the most ordered neighbors, ties by
     degree, descending, then by id (Tarjan and Yannakakis 1984); so the first
@@ -238,7 +238,10 @@ def _first_fit(adj, lists):
 
 def _proper_list_coloring(g, lists):
     """_search's first proper coloring of g from normalized lists, _first_fit's if it has one."""
-    return _first_fit(g.adj, lists) or _search(g.n, *_constraints(g, "proper", 0), lists=lists)[1]
+    coloring = _first_fit(g.adj, lists)
+    if coloring is not None:
+        return coloring
+    return _search(g.n, *_constraints(g, "proper", 0), lists=lists)[1]
 
 
 def _search(n, edges, need, graph, lists=None, ks=None, order=None):
@@ -321,7 +324,7 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
     twin = [None] * n  # the last vertex before v with v's edges (and list), or None
     last = {}
     for v in order:
-        # on a graph member[v] holds the ids of N(v), so edges[v] (hash cached) is the key
+        # on a graph member[v] holds the ids of N(v), so edges[v], their ascending tuple, is the key
         key = edges[v] if graph else tuple(member[v])
         if lists is not None:
             key = key, lists[v]

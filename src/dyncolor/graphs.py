@@ -1,7 +1,7 @@
 """Graph and hypergraph types, generators, and structural helpers: core numbers by one O(n + m) peel.
 
-A Graph stores its edges once, as adjacency sets; Graph.edges builds the
-sorted pair tuple from them on every read, in O(m log maxdeg), so a caller
+A Graph stores its edges once, as ascending neighbor tuples; Graph.edges
+builds the sorted pair tuple from them on every read, in O(m), so a caller
 reads it once per use and keeps the result while it needs it.
 """
 
@@ -17,12 +17,14 @@ from dataclasses import dataclass
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    adj[v] is the frozenset of v's neighbors, symmetric and loop-free: the
-    one stored form of the edges.  edges and m are derived from it.
+    adj[v] is the tuple of v's neighbors in ascending order, symmetric and
+    loop-free: the one stored form of the edges.  edges and m are derived
+    from it.  A Graph built by hand must hold this form too, or == and hash
+    tell it apart from build_graph's graph with the same edges.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj: tuple[tuple[int, ...], ...]
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -31,7 +33,7 @@ class Graph:
         Not cached: a kept tuple would hold every edge a second time, the
         memory that storing adj alone saves.
         """
-        return tuple([(u, v) for u, nbrs in enumerate(self.adj) for v in sorted(nbrs) if v > u])
+        return tuple([(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if v > u])
 
     @property
     def m(self) -> int:
@@ -80,7 +82,7 @@ def build_graph(n, edge_list) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n=n, adj=tuple(frozenset(s) for s in nbrs))
+    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def build_hypergraph(n, edge_list) -> Hypergraph:
@@ -196,9 +198,11 @@ def _random_regular(n, d, rng):
     if (n * d) % 2:
         raise ValueError(f"n*d must be even, got n={n} d={d}")
     if d and 2 * d > n - 1:
-        # n*(n-1-d) has the parity of n*d; dense pairings would mostly repeat edges
+        # n*(n-1-d) has the parity of n*d; dense pairings would mostly repeat
+        # edges.  Each row of the complement is one set difference
         sparse = _random_regular(n, n - 1 - d, rng)
-        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v not in sparse.adj[u]])
+        everyone = frozenset(range(n))
+        return Graph(n, tuple(tuple(sorted(everyone.difference(a, (v,)))) for v, a in enumerate(sparse.adj)))
     for _ in range(_REGULAR_TRIES):
         edges = set()
         stubs = [v for v in range(n) for _ in range(d)]
@@ -226,7 +230,7 @@ def neighborhood_hypergraph(g: Graph) -> Hypergraph:
 
     Isolated vertices contribute empty edges.
     """
-    return Hypergraph(n=g.n, edges=tuple(g.adj))
+    return Hypergraph(n=g.n, edges=tuple(map(frozenset, g.adj)))
 
 
 def incidence_graph(h: Hypergraph):

@@ -245,7 +245,7 @@ def neighborhood_color_hypergraph(g: Graph, assignment, v) -> Hypergraph:
     if g.degree(v) == 0:
         raise ValueError(f"vertex {v} is isolated; neighborhood hypergraph undefined")
     edges = []
-    for w in sorted(g.adj[v]):
+    for w in g.adj[v]:
         for c in assignment[w]:
             if not _is_color(c):
                 raise ValueError(f"list for vertex {w} has a bad color {c!r}")
@@ -338,10 +338,10 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
         sweeps.append(sweep)
         centre = sweep[0]
         touched = set()
-        for w in sorted(adj[centre]):
+        for w in adj[centre]:
             sub = sublists[w] = draw(base[w])
             masks[w] = _mask(sub, bits)
-            touched |= adj[w]
+            touched.update(adj[w])
         state.draws += len(adj[centre])
     log = ResampleLog(
         iterations=len(sweeps),

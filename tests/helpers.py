@@ -230,7 +230,7 @@ def oracle_k_core(g, k):
     Each round removes at once every vertex with fewer than k neighbors left.
     """
     core = set(range(g.n))
-    while low := {v for v in core if len(g.adj[v] & core) < k}:
+    while low := {v for v in core if len(core.intersection(g.adj[v])) < k}:
         core -= low
     return core
 
@@ -246,7 +246,7 @@ def oracle_strong_chi(h, r):
 
 
 def oracle_build_graph(n, edge_list):
-    """build_graph as first written: a sorted pair set, then the adjacency sets.
+    """build_graph as first written: a sorted pair set, then the ascending adjacency rows.
 
     Returns the graph and its sorted pair tuple, which Graph.edges must
     reproduce.  Rejects out-of-range endpoints and self-loops; duplicate and
@@ -266,7 +266,7 @@ def oracle_build_graph(n, edge_list):
     for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n=n, adj=tuple(frozenset(s) for s in nbrs)), edges
+    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs)), edges
 
 
 def oracle_gnp(n, p, seed):

@@ -267,7 +267,7 @@ def low_degree_extensions(draw):
 def connected(g):
     seen, todo = {0}, [0]
     while todo:
-        for w in g.adj[todo.pop()] - seen:
+        for w in set(g.adj[todo.pop()]) - seen:
             seen.add(w)
             todo.append(w)
     return len(seen) == g.n

@@ -683,6 +683,15 @@ def test_solve_list_searches_after_a_first_fit_dead_end():
     assert solve_list_coloring(g, lists) == [1, 2, 3]
 
 
+def test_solve_list_on_the_empty_graph_runs_no_search(monkeypatch):
+    # first-fit colors the empty graph with [], a falsy coloring: no dead end
+    calls = []
+    search = coloring_mod._search
+    monkeypatch.setattr(coloring_mod, "_search", lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    assert solve_list_coloring(build_graph(0, []), []) == []
+    assert calls == []
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @settings(max_examples=100, deadline=None)
 @given(case=listed_hypergraphs())

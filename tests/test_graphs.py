@@ -28,6 +28,7 @@ from dyncolor import (
     serialize_graph,
 )
 from dyncolor import graphs as graphs_module
+from dyncolor.choosability import _core_components
 
 from .helpers import oracle_build_graph, oracle_degeneracy, oracle_gnp, oracle_gnp_skip, oracle_k_core
 
@@ -55,7 +56,7 @@ def test_build_graph_normalizes_and_dedups():
     g = build_graph(4, [(2, 1), (1, 2), (0, 3)])
     assert g.edges == ((0, 3), (1, 2))
     assert g.m == 2
-    assert g.adj[1] == frozenset({2})
+    assert g.adj[1] == (2,)
     assert g.degree(0) == 1
 
 
@@ -119,8 +120,45 @@ def test_edges_derived_from_shuffled_duplicated_reversed_pairs():
     assert builds[0] == builds[1] and hash(builds[0]) == hash(builds[1])
 
 
+def _assert_rows(g):
+    # each row an ascending tuple, the rows symmetric and loop-free
+    for v, row in enumerate(g.adj):
+        assert type(row) is tuple and all(a < b for a, b in zip(row, row[1:])), (v, row)
+        assert v not in row and all(v in g.adj[u] for u in row), (v, row)
+
+
+def test_every_producer_holds_ascending_tuple_rows():
+    _assert_rows(build_graph(5, [(3, 1), (1, 3), (0, 4), (4, 0), (2, 1), (1, 2), (0, 4), (4, 3)]))
+    _assert_rows(parse_graph("p edge 5 4\ne 5 1\ne 4 2\ne 2 4\ne 3 1\n"))
+    for kind, params in [
+        ("cycle", {"n": 9}),
+        ("complete", {"n": 7}),
+        ("complete_bipartite", {"a": 3, "b": 5}),
+        ("gnp", {"n": 60, "p": 0.2}),
+        ("random_regular", {"n": 30, "d": 4}),
+        ("random_regular", {"n": 30, "d": 25}),  # the dense branch: a complement
+    ]:
+        g = generate(kind, seed=2, **params)
+        _assert_rows(g)
+        if kind == "random_regular":
+            assert {len(row) for row in g.adj} == {params["d"]}
+    _assert_rows(incidence_graph(build_hypergraph(6, [{5, 0, 3}, {2, 1}, {4, 3, 1, 0}]))[0])
+    g = generate("gnp", seed=5, n=40, p=0.15)
+    comps = list(_core_components(g, 2))
+    assert comps
+    for c in comps:
+        _assert_rows(c)
+
+
+def test_adjacency_rows_take_a_tuple_each():
+    # 8 neighbors per vertex: a tuple row is 40 + 8 * 8 = 104 bytes on 64-bit
+    # CPython, a frozenset row 728
+    g = build_graph(2000, [(v, (v + s) % 2000) for v in range(2000) for s in (1, 2, 3, 4)])
+    assert sum(map(sys.getsizeof, g.adj)) <= 2000 * 120
+
+
 def _footprint(adj):
-    # bytes of the tuple, its frozensets and the int objects they hold
+    # bytes of the tuple, its rows and the int objects they hold
     # (the small ints are the interpreter's, shared by everyone)
     ints = {id(v): v for nbrs in adj for v in nbrs}
     return (
