@@ -39,8 +39,7 @@ def _finite(func):
 def _check_sublist_params(degree, r, slack, sublist_size):
     if min(degree, r, slack, sublist_size) <= 0:
         raise ValueError("all parameters must be positive")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _check_r(degree, 1, "degree")
     _check_slack(slack, r)
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import _check_cap, _constraints, _least_k, _mcs_order
+from .coloring import _check_cap, _check_r, _constraints, _least_k, _mcs_order
 from .graphs import Graph, Hypergraph, _core_numbers, is_bipartite
 
 MET = None  # the status of a hyperedge that already has its need
@@ -63,8 +63,7 @@ def is_k_choosable(x: Graph | Hypergraph, k, mode="proper", r=0, max_n=8, max_k=
     x is a Graph in mode "proper" or "dynamic", a Hypergraph in "strong".
     """
     _constraints(x, mode, r)  # the mode and r checks, first
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_r(k, 1, "k")
     _check_cap(x.n, max_n)
     _check_cap(k, max_k, "k")
     if x.n == 0:

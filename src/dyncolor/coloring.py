@@ -81,9 +81,10 @@ def _is_color(c):
     return isinstance(c, int) and not isinstance(c, bool) and c >= 0
 
 
-def _check_r(r, floor):
-    if r < floor:
-        raise ValueError(f"r must be >= {floor}, got {r}")
+def _check_r(value, floor, name="r"):
+    """The one floor rule of every numeric argument: r, k, n, sizes, degrees; None fails it."""
+    if value is None or value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
 
 
 def _check_slack(slack, r):
@@ -181,9 +182,9 @@ def _order(member):
     """The search's vertex order: by len(member[v]) descending, ties by id.
 
     member[v] lists the edges containing v; on a graph in proper or dynamic
-    mode they are the neighborhoods N(u) of v's neighbors u, so the count is
-    v's degree and the adjacency rows serve as well.  Ties keep id order
-    because sorted is stable.
+    mode they are the neighborhoods N(u) of v's neighbors u, so member is
+    the adjacency rows themselves, as _search passes it, and the count is
+    v's degree.  Ties keep id order because sorted is stable.
     """
     count = [-len(m) for m in member]
     return sorted(range(len(member)), key=count.__getitem__)
@@ -256,7 +257,10 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
     first-use order finds a coloring whenever 1..k admits one, since
     validity does not depend on the names of the colors.  Nor does it depend
     on the vertex order, which moves only which coloring comes first.  The
-    edge index, the order and the twin table are built once for all of ks.
+    edge index member (member[v]: the ids of the edges containing v), the
+    order and the twin table are built once for all of ks; on a graph the
+    index is the rows themselves, since v lies in N(j) exactly when j lies
+    in N(v), and only a hypergraph's is built.
 
     A branch ends, after v takes c, when an edge holds more repeats than
     len(e) - need allows (spare), or when forward checking finds an
@@ -315,17 +319,19 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
     skip only branches without a valid coloring, so the first leaf is the
     one chronological backtracking finds (Kondrak and van Beek 1997).
     """
-    member = [[] for _ in range(n)]
-    for j, e in enumerate(edges):
-        for v in e:
-            member[v].append(j)
+    if graph:  # v lies in N(j) exactly when j lies in N(v): the rows are the index
+        member = edges
+    else:
+        member = [[] for _ in range(n)]
+        for j, e in enumerate(edges):
+            for v in e:
+                member[v].append(j)
     if order is None:
         order = _order(member)
     twin = [None] * n  # the last vertex before v with v's edges (and list), or None
     last = {}
     for v in order:
-        # on a graph member[v] holds the ids of N(v), so edges[v], their ascending tuple, is the key
-        key = edges[v] if graph else tuple(member[v])
+        key = tuple(member[v])
         if lists is not None:
             key = key, lists[v]
         twin[v] = last.get(key)

@@ -62,32 +62,26 @@ def augment(h: Hypergraph, r, k, seed) -> AugmentedHypergraph:
     core = tuple(range(h.n, h.n + r - 2))
     padded = h.n + len(core)
     padded = ((padded + k - 1) // k) * k
-    base_edges = [e | frozenset(core) for e in h.edges]
+    edges = [e | frozenset(core) for e in h.edges]
 
     rng = random.Random(seed)
-    used_blocks = set()
-    partitions = []
+    used = set()
+    matchings = []
     for i in range(r):
         for _ in range(_PARTITION_TRIES):
             perm = list(range(padded))
             rng.shuffle(perm)
             blocks = [frozenset(perm[j : j + k]) for j in range(0, padded, k)]
-            if all(b not in used_blocks for b in blocks):
+            if used.isdisjoint(blocks):
                 break
         else:
             raise ValueError(
                 f"could not draw partition {i + 1} of {r} with unused blocks "
                 f"after {_PARTITION_TRIES} tries (padded n={padded}, k={k})"
             )
-        used_blocks.update(blocks)
-        partitions.append(blocks)
-
-    edges = list(base_edges)
-    matchings = []
-    for blocks in partitions:
-        start = len(edges)
+        used.update(blocks)
+        matchings.append(tuple(range(len(edges), len(edges) + len(blocks))))
         edges.extend(blocks)
-        matchings.append(tuple(range(start, len(edges))))
     return AugmentedHypergraph(
         base=h,
         hyper=Hypergraph(n=padded, edges=tuple(edges)),
@@ -116,10 +110,9 @@ def lift_coloring(aug: AugmentedHypergraph, f, alphas):
     if set(alphas) & set(f):
         raise ValueError("fresh colors overlap the range of f")
     g, _, _ = incidence_graph(aug.hyper)
-    lifted = list(f)
-    for j in range(aug.hyper.m):
-        kind, i = aug.edge_label(j)
-        lifted.append(alphas[i - 1] if kind == "matching" else alphas[r - 1])
+    lifted = list(f) + [alphas[r - 1]] * aug.base.m
+    for i, idxs in enumerate(aug.matchings):  # the partitions' edges follow the base edges in order
+        lifted += [alphas[i]] * len(idxs)
     if not is_r_dynamic(g, lifted, r):
         raise AssertionError(
             "lifted coloring failed the dynamic check; the construction "

@@ -12,7 +12,7 @@ import random
 from .coloring import _check_cap, _check_r, chi_exact, is_r_dynamic
 from .graphs import degree_stats, generate
 from .greedy import greedy_r_dynamic
-from .sublists import _check_max_iters, _list_sizes, _sorted_sampler, dynamic_coloring_via_sublists
+from .sublists import _list_sizes, _sorted_sampler, dynamic_coloring_via_sublists
 
 
 def random_list_assignment(n, size, universe, rng):
@@ -55,8 +55,7 @@ def experiment_random_graphs(
     lll reports differ); "exact" computes the r-dynamic and proper chromatic
     numbers (n capped by max_n).
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_r(trials, 0, "trials")
     if (p is None) == (d is None):
         raise ValueError("need exactly one of p, d")
     if mode not in ("greedy", "lll", "exact"):
@@ -66,9 +65,9 @@ def experiment_random_graphs(
         _check_cap(n, max_n)
     elif mode == "lll":
         _list_sizes(r, sublist_size, slack)  # the given sizes and cap, before any trial
-        _check_max_iters(max_iters)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        if max_iters is not None:
+            _check_r(max_iters, 0, "max_iters")
+    _check_r(n, 1, "n")
 
     config = {
         "n": n,

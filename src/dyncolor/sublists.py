@@ -152,16 +152,6 @@ def _sorted_sampler(rng, k):
     return draw
 
 
-def _check_sublist_size(size):
-    if size is None or size < 1:
-        raise ValueError(f"sublist size must be >= 1, got {size}")
-
-
-def _check_max_iters(max_iters):
-    if max_iters is not None and max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-
-
 def _list_sizes(r, sublist_size, slack=None, lists=None, max_degree=None):
     """(sublist_size, slack, floor) by the rule floor = sublist + slack + r - 2.
 
@@ -172,7 +162,7 @@ def _list_sizes(r, sublist_size, slack=None, lists=None, max_degree=None):
     the base size leaves at that slack, or None with neither.
     """
     if sublist_size is not None:
-        _check_sublist_size(sublist_size)
+        _check_r(sublist_size, 1, "sublist size")
     base = None
     if lists and None in (slack, sublist_size):
         sizes = {len(t) for t in lists}
@@ -206,7 +196,7 @@ def sample_sublists(lists, sublist_size, seed, r=None, slack=None) -> SublistSta
     from uniform base sizes when not given, must be >= r - 1, and every list
     must hold sublist_size + slack + r - 2 colors.
     """
-    _check_sublist_size(sublist_size)
+    _check_r(sublist_size, 1, "sublist size")
     base = _normalize_lists(len(lists), lists, floor=sublist_size)
     if r is not None:
         slack = _list_sizes(r, sublist_size, slack, base)[1]
@@ -298,9 +288,9 @@ def resample_until_clear(g: Graph, state: SublistState, max_iters=None):
     """
     _check_state(g, state)
     r = state.r
-    _check_max_iters(max_iters)
     if max_iters is None:
         max_iters = default_max_iters(g, r)
+    _check_r(max_iters, 0, "max_iters")
     adj = g.adj
     eligible = [len(nbrs) >= r for nbrs in adj]
     base, sublists = state.base, state.sublists

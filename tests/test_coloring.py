@@ -646,10 +646,11 @@ def test_a_jump_keeps_the_neighborhoods_the_bound_scanned():
 def test_a_deep_list_search_allocates_linear_memory():
     # the search on C_12000 goes 12,000 deep without a dead end.  Its
     # conflict sets hold edge ids and are made at a depth's first failure,
-    # so its allocations peak near 9 MB (10.5 MB with a set pushed at every
-    # depth; 8 MB for chronological backtracking); sets kept as int bitsets
-    # over depths, each as wide as the deepest depth it names, peaked at
-    # 33 MB and grew with n squared
+    # and its membership index is the graph's own rows, so its allocations
+    # peak near 7.5 MB (9 MB with the index built as n fresh lists, 10.5 MB
+    # with that and a set pushed at every depth; 8 MB for chronological
+    # backtracking); sets kept as int bitsets over depths, each as wide as
+    # the deepest depth it names, peaked at 33 MB and grew with n squared
     n = 12000
     g = generate("cycle", n=n)
     tracemalloc.start()

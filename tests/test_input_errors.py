@@ -1,7 +1,7 @@
 """The exact ValueError text of each input check that no other test reaches:
 the text parsers, the graph and hypergraph builders, the generators, the
 experiment and construction entry points, the sublist size rule of the lll
-pipeline and its resampling cap.
+pipeline and its resampling cap, and the floor rule on a None number.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from dyncolor import (
     augment,
     build_graph,
     build_hypergraph,
+    chi_exact,
     dynamic_coloring_via_sublists,
     experiment_random_graphs,
     generate,
+    is_k_choosable,
     parse_coloring,
     parse_graph,
     parse_hypergraph,
@@ -75,8 +77,23 @@ CASES = [
     ("experiment-n",
      lambda: experiment_random_graphs(n=0, p=0.5, r=2, trials=1, seed=0, mode="greedy"),
      "n must be >= 1, got 0"),
+    ("experiment-n-none",
+     lambda: experiment_random_graphs(n=None, p=0.5, r=2, trials=1, seed=0, mode="greedy"),
+     "n must be >= 1, got None"),
+    ("experiment-trials",
+     lambda: experiment_random_graphs(10, 2, trials=-1, seed=0, mode="greedy", p=0.3),
+     "trials must be >= 0, got -1"),
+    ("experiment-p-and-d",
+     lambda: experiment_random_graphs(10, 2, trials=1, seed=0, mode="greedy", p=0.3, d=3),
+     "need exactly one of p, d"),
+    ("chi-r-none", lambda: chi_exact(TRIANGLE, "dynamic", None),
+     "r must be >= 1, got None"),
+    ("choosable-k-none", lambda: is_k_choosable(TRIANGLE, None),
+     "k must be >= 1, got None"),
     ("augment-empty", lambda: augment(build_hypergraph(0, []), 2, 2, 0),
      "base hypergraph needs at least one vertex"),
+    ("augment-k-below-r", lambda: augment(build_hypergraph(4, [[0, 1], [2, 3]]), 3, 2, 0),
+     "k must be >= r, got k=2 r=3"),
     ("pipeline-mixed-sizes", lambda: dynamic_coloring_via_sublists(TRIANGLE, MIXED_LISTS, 1, 2, 0),
      "base list sizes are not uniform: 2 to 3"),
     ("experiment-lll-slack", lambda: _lll_experiment(slack=0),
