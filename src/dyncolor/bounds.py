@@ -37,7 +37,7 @@ def _finite(func):
 
 
 def _check_sublist_params(degree, r, slack, sublist_size):
-    if min(degree, r, slack, sublist_size) <= 0:
+    if None in (degree, r, slack, sublist_size) or min(degree, r, slack, sublist_size) <= 0:
         raise ValueError("all parameters must be positive")
     _check_r(degree, 1, "degree")
     _check_slack(slack, r)

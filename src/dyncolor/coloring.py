@@ -66,7 +66,7 @@ colorings projected onto the boundary, memoized up to color renaming.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .graphs import Graph, Hypergraph
 
@@ -94,6 +94,7 @@ def _check_slack(slack, r):
 
 
 def _check_cap(n, max_n, name="n"):
+    _check_r(max_n, 0, f"max_{name}")
     if n > max_n:
         raise ValueError(f"{name}={n} exceeds cap {max_n}; pass max_{name} to override")
 
@@ -174,7 +175,7 @@ def _constraints(x, mode, r):
         raise ValueError(f"unknown mode {mode!r}")
     _check_r(r, 0 if mode == "proper" else 1)
     edges = x.adj if graph else x.edges
-    need = [0] * len(edges) if mode == "proper" else [min(r, len(e)) for e in edges]
+    need = [0] * len(edges) if mode == "proper" else [len(e) if len(e) < r else r for e in edges]
     return edges, need, graph
 
 
@@ -196,23 +197,34 @@ def _mcs_order(adj):
     Next is the unordered vertex with the most ordered neighbors, ties by
     degree, descending, then by id (Tarjan and Yannakakis 1984); so the first
     vertex, and the first of each further component, where every count is
-    0, is one of largest degree.  A heap holds one entry per count a vertex
-    has had; an entry whose count is no longer the vertex's is skipped.
+    0, is one of largest degree.  The tie rule is _order's, so a vertex's
+    rank is its place in _order(adj), and one int keys it in a min-heap:
+    rank - (ordered neighbors) * n, which sorts by the count, descending,
+    then by rank, and gives the vertex back as by_rank[key % n].  All
+    counts start at 0, so the first keys are the ranks, already a heap.
+    The heap holds one entry per count a vertex has had; an entry whose key
+    is no longer the vertex's is skipped, and an ordered vertex's key is n,
+    which no entry holds.
     """
-    key = [0] * len(adj)  # minus the ordered neighbors; None once ordered
-    heap = [(0, -len(a), v) for v, a in enumerate(adj)]
-    heapify(heap)
+    n = len(adj)
+    by_rank = _order(adj)
+    key = [0] * n
+    for i, v in enumerate(by_rank):
+        key[v] = i
+    heap = list(range(n))
     order = []
     while heap:
-        k, _, v = heappop(heap)
+        k = heappop(heap)
+        v = by_rank[k % n]
         if k != key[v]:
             continue
-        key[v] = None
+        key[v] = n
         order.append(v)
         for u in adj[v]:
-            if key[u] is not None:
-                key[u] -= 1
-                heappush(heap, (key[u], -len(adj[u]), u))
+            k = key[u]
+            if k < n:
+                key[u] = k = k - n
+                heappush(heap, k)
     return order
 
 
@@ -408,7 +420,7 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
             if k is None:
                 look = True
             else:
-                used = top[depth + 1] = max(top[depth], c)
+                used = top[depth + 1] = c if c > top[depth] else top[depth]
                 look = used == k
             full = []
             for j in member[v]:
@@ -471,7 +483,7 @@ def _search(n, edges, need, graph, lists=None, ks=None, order=None):
             if k is None:
                 stack.append(iter(lists[w] if u is None else lists[w][lists[u].index(color[u]):]))
             else:
-                stack.append(iter(range(1 if u is None else color[u], min(used + 1, k) + 1)))
+                stack.append(iter(range(1 if u is None else color[u], used + 2 if used < k else k + 1)))
             conf.append(None)
     return None, None
 

@@ -61,13 +61,13 @@ def experiment_random_graphs(
     if mode not in ("greedy", "lll", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_r(r, 2 if mode == "lll" else 1)
-    if mode == "exact":
-        _check_cap(n, max_n)
-    elif mode == "lll":
+    if mode == "lll":
         _list_sizes(r, sublist_size, slack)  # the given sizes and cap, before any trial
         if max_iters is not None:
             _check_r(max_iters, 0, "max_iters")
     _check_r(n, 1, "n")
+    if mode == "exact":
+        _check_cap(n, max_n)
 
     config = {
         "n": n,

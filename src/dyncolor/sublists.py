@@ -112,9 +112,10 @@ def _sorted_sampler(rng, k):
     """draw(population) = tuple(sorted(rng.sample(population, k))), from the same draws.
 
     Each draw leaves rng in the state rng.sample would.  The pool branch of
-    Random.sample is inlined: the drawn item moves past the live slots, so
-    the last k slots hold the sample.  Its set-branch threshold and the tries
-    (m, m.bit_length()) of each population size are worked out once per
+    Random.sample is inlined: the drawn item swaps with the last live slot,
+    so the last k slots hold the sample.  Its set-branch threshold and the
+    tries (m, m.bit_length(), m - 1: the live slots, the bits to draw and the
+    last live slot) of each population size are worked out once per
     sampler; the set branch, subclasses of Random and an invalid k use
     rng.sample.  Its callers draw from normalized lists or from distinct
     ints, and Random.sample picks k distinct positions in both branches, so
@@ -133,18 +134,17 @@ def _sorted_sampler(rng, k):
         n = len(population)
         if n not in tries:
             inline = 0 <= k <= n <= setsize
-            tries[n] = [(m, m.bit_length()) for m in range(n, n - k, -1)] if inline else None
+            tries[n] = [(m, m.bit_length(), m - 1) for m in range(n, n - k, -1)] if inline else None
         steps = tries[n]
         if steps is None:
             return _Sorted(sorted(rng.sample(population, k)))
         pool = list(population)
-        for m, bits in steps:
+        for m, bits, last in steps:
             # one getrandbits call per try, as Random._randbelow makes them
             j = getrandbits(bits)
             while j >= m:
                 j = getrandbits(bits)
-            m -= 1
-            pool[j], pool[m] = pool[m], pool[j]
+            pool[j], pool[last] = pool[last], pool[j]
         out = pool[n - k:]
         out.sort()
         return _Sorted(out)

@@ -235,6 +235,21 @@ def oracle_k_core(g, k):
     return core
 
 
+def oracle_mcs_order(adj):
+    """Maximum-cardinality-search order by its definition, in O(n^2).
+
+    Each step scans every unordered vertex and takes the one with the most
+    ordered neighbors, then the largest degree, then the least id; no heap.
+    """
+    left = set(range(len(adj)))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (-sum(w not in left for w in adj[u]), -len(adj[u]), u))
+        left.remove(v)
+        order.append(v)
+    return order
+
+
 def oracle_strong_chi(h, r):
     if h.n == 0:
         return 0

@@ -25,6 +25,7 @@ from .helpers import (
     oracle_chi,
     oracle_first_coloring,
     oracle_list_colorings,
+    oracle_mcs_order,
     oracle_normalize_lists,
     oracle_strong_chi,
     oracle_valid,
@@ -300,6 +301,22 @@ def test_mcs_order():
     # and the isolated 12 comes last.
     assert order == [1, 0, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11, 12]
     assert _mcs_order([]) == []
+
+
+def test_mcs_order_matches_its_definition():
+    # tuple rows as a Graph holds them, set rows as choosability._steps passes
+    # them, disconnected unions whose ids are shuffled, and the empty graph
+    rng = random.Random(5)
+    graphs = [build_graph(0, [])]
+    for seed in range(60):
+        graphs.append(generate("gnp", seed=seed, n=rng.randint(1, 30), p=rng.choice((0.05, 0.1, 0.2, 0.5))))
+        parts = [generate("gnp", seed=1000 + 10 * seed + i, n=rng.randint(1, 8), p=rng.choice((0.2, 0.5)))
+                 for i in range(rng.randint(2, 4))]
+        graphs.append(_union(parts, rng))
+    for g in graphs:
+        want = oracle_mcs_order(g.adj)
+        assert _mcs_order(g.adj) == want
+        assert _mcs_order([set(a) for a in g.adj]) == want
 
 
 def test_chi_exact_guards():

@@ -1,7 +1,8 @@
 """The exact ValueError text of each input check that no other test reaches:
 the text parsers, the graph and hypergraph builders, the generators, the
 experiment and construction entry points, the sublist size rule of the lll
-pipeline and its resampling cap, and the floor rule on a None number.
+pipeline and its resampling cap, and the floor rule on a None number or
+cap.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dyncolor import (
     parse_lists,
     resample_until_clear,
     sample_sublists,
+    sublist_condition_holds,
 )
 from dyncolor.cli import main
 
@@ -90,6 +92,15 @@ CASES = [
      "r must be >= 1, got None"),
     ("choosable-k-none", lambda: is_k_choosable(TRIANGLE, None),
      "k must be >= 1, got None"),
+    ("chi-cap-none", lambda: chi_exact(TRIANGLE, max_n=None),
+     "max_n must be >= 0, got None"),
+    ("choosable-cap-none", lambda: is_k_choosable(TRIANGLE, 2, max_k=None),
+     "max_k must be >= 0, got None"),
+    ("experiment-exact-n-none",
+     lambda: experiment_random_graphs(n=None, p=0.5, r=2, trials=1, seed=0, mode="exact"),
+     "n must be >= 1, got None"),
+    ("sublist-condition-none", lambda: sublist_condition_holds(None, 5, 2, 1, 1),
+     "all parameters must be positive"),
     ("augment-empty", lambda: augment(build_hypergraph(0, []), 2, 2, 0),
      "base hypergraph needs at least one vertex"),
     ("augment-k-below-r", lambda: augment(build_hypergraph(4, [[0, 1], [2, 3]]), 3, 2, 0),
